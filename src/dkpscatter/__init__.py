@@ -48,7 +48,7 @@ from .scattering import (
     scattering_coefficients,
     step_rt,
 )
-from .specfun import gamma_ratio_abs_sq, hyp2f1, log_gamma
+from .specfun import hyp2f1, log_gamma
 from .wavefield import (
     ComponentResiduals,
     Kind,
@@ -74,7 +74,6 @@ __all__ = [
     "RangeError",
     # special functions
     "log_gamma",
-    "gamma_ratio_abs_sq",
     "hyp2f1",
     # algebra
     "BetaSet",

@@ -4,8 +4,8 @@ Everything here is decorated with :func:`dkpscatter._jit.njit` and written in
 the subset of Python that numba compiles in nopython mode; with the JIT
 disabled the same source runs as plain Python.  Kernels never raise: failure
 is signalled with NaN payloads or status codes, and the public wrappers in
-:mod:`dkpscatter.specfun` / :mod:`dkpscatter.oracle` turn those into typed
-exceptions.
+:mod:`dkpscatter.specfun`, :mod:`dkpscatter.scattering` and
+:mod:`dkpscatter.oracle` turn those into typed exceptions.
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ _HALF_LOG_TWO_PI = 0.9189385332046727
 _NAN_C = complex(math.nan, math.nan)
 
 MAX_SERIES_TERMS = 100_000
+
+# Distance from a nonpositive integer within which Gamma counts as at a pole.
+POLE_TOL = 1e-14
 
 
 @njit
@@ -108,11 +111,17 @@ def _f_near(a: complex, b: complex, c: complex, z: float) -> complex:
 
 @njit
 def _coeff_ratio(n1: complex, n2: complex, d1: complex, d2: complex) -> complex:
-    # Gamma(n1)Gamma(n2) / (Gamma(d1)Gamma(d2)); zero when a denominator
-    # argument is at a pole.  Callers guarantee numerators off the poles.
-    if _near_nonpositive_int(d1, 1e-14) or _near_nonpositive_int(d2, 1e-14):
+    """Gamma(n1)Gamma(n2) / (Gamma(d1)Gamma(d2)) in the log domain.
+
+    Exactly zero when a denominator argument is at a pole; otherwise NaN when
+    a numerator argument is.  Accumulated pairwise as (n1/d1)(n2/d2), so an
+    argument shared by both sides cancels exactly.
+    """
+    if _near_nonpositive_int(d1, POLE_TOL) or _near_nonpositive_int(d2, POLE_TOL):
         return 0.0 + 0.0j
-    return cmath.exp(lgamma_c(n1) + lgamma_c(n2) - lgamma_c(d1) - lgamma_c(d2))
+    if _near_nonpositive_int(n1, POLE_TOL) or _near_nonpositive_int(n2, POLE_TOL):
+        return _NAN_C
+    return cmath.exp((lgamma_c(n1) - lgamma_c(d1)) + (lgamma_c(n2) - lgamma_c(d2)))
 
 
 @njit

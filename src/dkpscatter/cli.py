@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import beta_matrices, trilinear_residual
-from .errors import DkpScatterError
+from .errors import BoundaryEnergyError, DkpScatterError
 from .oracle import numeric_rt
 from .scattering import (
     Particle,
@@ -26,12 +26,9 @@ from .scattering import (
     boundary_eps,
     classify_region,
     critical_energies,
-    hypergeometric_parameters,
     kinematics,
     scattering_coefficients,
     step_rt,
-    _abs_sq_ratio,
-    _coefficient_args,
 )
 from .wavefield import component_residuals, wavefunction
 
@@ -106,12 +103,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = ["E,R,T,unitarity_defect,region"]
     for energy in np.linspace(args.emin, args.emax, args.steps):
         energy = float(energy)
-        region = classify_region(pot, par, energy)
-        if region is Region.BOUNDARY:
+        try:
+            res = scattering_coefficients(pot, par, energy)
+        except BoundaryEnergyError:
             print(f"skipping E = {_fmt12(energy)}: within boundary guard",
                   file=sys.stderr)
             continue
-        res = scattering_coefficients(pot, par, energy)
         rows.append(",".join((
             _csv_float(energy), _csv_float(res.R), _csv_float(res.T),
             _csv_float(res.unitarity_defect), res.region.token)))
@@ -162,14 +159,9 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
 
 
 def _flipped_mu_rt(pot: Potential, par: Particle, energy: float):
-    # debug path: negate mu before the connection coefficients
-    k = kinematics(pot, par, energy)
-    k = k._replace(mu=-k.mu)
-    hp = hypergeometric_parameters(k)
-    a_nums, a_dens, c_nums, c_dens = _coefficient_args(hp)
-    refl = _abs_sq_ratio(c_nums + a_dens, c_dens + a_nums)
-    trans = (k.mu.real / k.nu.real) * _abs_sq_ratio(a_dens, a_nums)
-    return refl, trans
+    # debug path: negating mu turns the closed form's (R, T) into (1/R, -T/R)
+    res = scattering_coefficients(pot, par, energy)
+    return 1.0 / res.R, -res.T / res.R
 
 
 class _Verifier:

@@ -4,12 +4,11 @@ and transmission, and the sharp-step limit."""
 
 from __future__ import annotations
 
-import cmath
 import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from . import _kernels
 from .errors import (
@@ -237,85 +236,86 @@ def hypergeometric_parameters(k: KinematicParams) -> HypergeometricParams:
     )
 
 
-def _coefficient_args(hp: HypergeometricParams):
-    # gamma-function argument lists: (numerators, denominators) for A and C
-    a_nums = (1.0 - hp.b1 + hp.a1, 1.0 - hp.c1)
-    a_dens = (1.0 - hp.c1 + hp.a1, 1.0 - hp.b1)
-    c_nums = (1.0 - hp.a2 + hp.b2, 1.0 - hp.c2)
-    c_dens = (1.0 - hp.c2 + hp.b2, 1.0 - hp.a2)
-    return a_nums, a_dens, c_nums, c_dens
-
-
-_POLE_TOL = 1e-14
-
-
-def _is_pole(z: complex) -> bool:
-    k = math.floor(z.real + 0.5)
-    return k <= 0.5 and abs(z - k) <= _POLE_TOL
-
-
-def _gamma_combo(nums: Sequence[complex], dens: Sequence[complex]) -> complex:
-    """prod Gamma(nums) / prod Gamma(dens) as a complex value, in the log
-    domain.  A denominator pole short-circuits to exactly 0.  Terms are
-    accumulated as pairwise differences so that an argument shared by both
-    lists cancels exactly (the free case relies on this)."""
-    for d in dens:
-        if _is_pole(d):
-            return 0.0 + 0.0j
-    for n in nums:
-        if _is_pole(n):
-            raise PoleError(f"gamma pole in connection coefficient at {n}")
-    acc = 0.0 + 0.0j
-    for n, d in zip(nums, dens):
-        acc += _kernels.lgamma_c(n) - _kernels.lgamma_c(d)
-    for n in nums[len(dens):]:
-        acc += _kernels.lgamma_c(n)
-    for d in dens[len(nums):]:
-        acc -= _kernels.lgamma_c(d)
-    return cmath.exp(acc)
-
-
-def _abs_sq_ratio(nums: Sequence[complex], dens: Sequence[complex]) -> float:
-    """|prod Gamma(nums) / prod Gamma(dens)|^2 without forming the values.
-    Pairwise accumulation, as in _gamma_combo."""
-    for d in dens:
-        if _is_pole(d):
-            return 0.0
-    for n in nums:
-        if _is_pole(n):
-            raise PoleError(f"gamma pole in magnitude ratio at {n}")
-    acc = 0.0
-    for n, d in zip(nums, dens):
-        acc += _kernels.lgamma_c(n).real - _kernels.lgamma_c(d).real
-    for n in nums[len(dens):]:
-        acc += _kernels.lgamma_c(n).real
-    for d in dens[len(nums):]:
-        acc -= _kernels.lgamma_c(d).real
-    return math.exp(2.0 * acc)
+def _gamma_ratio(n1: complex, n2: complex, d1: complex, d2: complex) -> complex:
+    # Gamma(n1)Gamma(n2) / (Gamma(d1)Gamma(d2)); exactly 0 at a denominator pole
+    value = _kernels._coeff_ratio(n1, n2, d1, d2)
+    if value != value:  # NaN: a numerator argument is at a pole
+        raise PoleError(
+            f"gamma pole in connection coefficient at {n1} or {n2}")
+    return value
 
 
 def connection_coefficients(k: KinematicParams) -> ConnectionCoefficients:
     """Matching coefficients of the incident-side expansion onto the
-    transmitted solution.  B and D obey B = A b1/c1 and D = C a2/c2."""
+    transmitted solution.  B and D obey B = A b1/c1 and D = C a2/c2.
+
+    Each is a ratio of Gamma functions evaluated in the log domain; a
+    shared argument cancels exactly, so for a = 0 A = 1 and C = 0 exactly."""
     hp = hypergeometric_parameters(k)
-    a_nums, a_dens, c_nums, c_dens = _coefficient_args(hp)
-    A = _gamma_combo(a_nums, a_dens)
-    C = _gamma_combo(c_nums, c_dens)
-    B = _gamma_combo((1.0 - hp.b1 + hp.a1, -hp.c1),
-                     (1.0 - hp.c1 + hp.a1, -hp.b1))
-    D = _gamma_combo((1.0 - hp.a2 + hp.b2, -hp.c2),
-                     (1.0 - hp.c2 + hp.b2, -hp.a2))
-    return ConnectionCoefficients(A, B, C, D)
+    a_num, a_den = 1.0 - hp.b1 + hp.a1, 1.0 - hp.c1 + hp.a1
+    c_num, c_den = 1.0 - hp.a2 + hp.b2, 1.0 - hp.c2 + hp.b2
+    return ConnectionCoefficients(
+        A=_gamma_ratio(a_num, 1.0 - hp.c1, a_den, 1.0 - hp.b1),
+        B=_gamma_ratio(a_num, -hp.c1, a_den, -hp.b1),
+        C=_gamma_ratio(c_num, 1.0 - hp.c2, c_den, 1.0 - hp.a2),
+        D=_gamma_ratio(c_num, -hp.c2, c_den, -hp.a2),
+    )
+
+
+_TWO_PI = 2.0 * math.pi
+
+
+def _propagating_rt(k: KinematicParams) -> tuple[float, float]:
+    """R and T for real nu and mu.
+
+    R = |C/A|^2 and T = (mu/nu)/|A|^2 reduce, through |Gamma(1+iy)|^2 =
+    pi y/sinh(pi y), |Gamma(1/2+iy)|^2 = pi/cosh(pi y) and Gamma(s)Gamma(1-s)
+    = pi/sin(pi s) (DLMF 5.4.3, 5.4.4, 5.5.3), to
+
+        S = sin^2(pi lam)   (= cosh^2(pi kappa) for lam = 1/2 + i kappa)
+        R = (S + sinh^2 pi(nu - mu)) / (S + sinh^2 pi(nu + mu))
+        T = sinh(2 pi nu) sinh(2 pi mu) / (S + sinh^2 pi(nu + mu)).
+
+    With p = |nu|, q = |mu|, sinh^2 pi(nu +- mu) is sinh^2 pi(p + q) or
+    sinh^2 pi(p - q) by the relative sign of nu and mu.  Every term is
+    multiplied by 4 exp(-2 pi big), big = max(p + q, kappa), so nothing
+    overflows, and the exponent of the p - q term is taken as p + q - 2
+    min(p, q), so that both sinh terms and T share one scale factor and
+    R + T = 1 holds to rounding.  For a = 0 (lam = 1, nu = mu) R = 0 and
+    T = 1 come out exactly."""
+    nu, mu, kappa = k.nu.real, k.mu.real, k.lam.imag
+    p, q = abs(nu), abs(mu)
+    big = max(p + q, kappa)
+    scale = math.exp(_TWO_PI * (p + q - big))
+    e_sum = math.expm1(-_TWO_PI * (p + q))
+    e_diff = math.expm1(-_TWO_PI * abs(p - q))
+    sh_sum = scale * e_sum * e_sum
+    sh_diff = scale * math.exp(-2.0 * _TWO_PI * min(p, q)) * e_diff * e_diff
+    # |sinh(2 pi nu) sinh(2 pi mu)| on the same scale
+    prod = scale * math.expm1(-2.0 * _TWO_PI * p) \
+        * math.expm1(-2.0 * _TWO_PI * q)
+    if kappa:
+        s = math.exp(_TWO_PI * (kappa - big)) \
+            * (1.0 + math.exp(-_TWO_PI * kappa)) ** 2
+    else:
+        s = 4.0 * math.sin(math.pi * (1.0 - k.lam.real)) ** 2 \
+            * math.exp(-_TWO_PI * big)
+    if (nu < 0.0) == (mu < 0.0):
+        den = s + sh_sum
+        return (s + sh_diff) / den, prod / den
+    den = s + sh_diff
+    return (s + sh_sum) / den, -prod / den
 
 
 def scattering_coefficients(pot: Potential, particle: Particle,
                             energy: float) -> ScatteringResult:
     """Reflection and transmission coefficients at the given energy.
 
-    R = |C/A|^2 and T = (mu/nu)/|A|^2, evaluated entirely in the log domain.
-    In the one-evanescent-channel bands the result is exact: R = 1, T = 0
-    (for an imaginary nu this follows from the x -> -x mirror, which swaps the
-    channel roles).  Energies inside the boundary guard are rejected."""
+    With both channels open, R and T come from the elementary closed form of
+    the Gamma ratios (see _propagating_rt).  In the one-evanescent-channel
+    bands the result is exact: R = 1, T = 0 (for an imaginary nu this follows
+    from the x -> -x mirror, which swaps the channel roles).  Energies inside
+    the boundary guard are rejected."""
     region = classify_region(pot, particle, energy)
     if region is Region.BOUNDARY:
         raise BoundaryEnergyError(
@@ -323,12 +323,7 @@ def scattering_coefficients(pot: Potential, particle: Particle,
             "(or in the fully evanescent gap)")
     if region in (Region.II, Region.IV):
         return ScatteringResult(energy, region, 1.0, 0.0, 0.0)
-    k = kinematics(pot, particle, energy)
-    hp = hypergeometric_parameters(k)
-    a_nums, a_dens, c_nums, c_dens = _coefficient_args(hp)
-    refl = _abs_sq_ratio(c_nums + a_dens, c_dens + a_nums)
-    inv_a_sq = _abs_sq_ratio(a_dens, a_nums)
-    trans = (k.mu.real / k.nu.real) * inv_a_sq
+    refl, trans = _propagating_rt(kinematics(pot, particle, energy))
     return ScatteringResult(energy, region, refl, trans, refl + trans - 1.0)
 
 
@@ -344,11 +339,10 @@ def currents(pot: Potential, particle: Particle, energy: float) -> Currents:
     if k.nu.imag != 0.0:
         raise EvanescentIncidentError(
             f"incident channel evanescent at E={energy}")
-    hp = hypergeometric_parameters(k)
-    a_nums, a_dens, c_nums, c_dens = _coefficient_args(hp)
+    cc = connection_coefficients(k)
     b_over_m = pot.b / particle.m
-    j_inc = 6.0 * _abs_sq_ratio(a_nums, a_dens) * b_over_m * k.nu.real
-    j_ref = -6.0 * _abs_sq_ratio(c_nums, c_dens) * b_over_m * k.nu.real
+    j_inc = 6.0 * abs(cc.A) ** 2 * b_over_m * k.nu.real
+    j_ref = -6.0 * abs(cc.C) ** 2 * b_over_m * k.nu.real
     j_trans = 6.0 * b_over_m * k.mu.real if k.mu.imag == 0.0 else 0.0
     return Currents(j_inc, j_ref, j_trans)
 

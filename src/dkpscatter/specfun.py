@@ -1,12 +1,7 @@
-"""Complex log-gamma, gamma-magnitude ratios, and the Gauss hypergeometric
-function for the parameter families this package needs (complex parameters,
-real argument z < 1)."""
+"""Complex log-gamma and the Gauss hypergeometric function for the parameter
+families this package needs (complex parameters, real argument z < 1)."""
 
 from __future__ import annotations
-
-import cmath
-import math
-from typing import Sequence
 
 from . import _kernels
 from .errors import (
@@ -16,14 +11,7 @@ from .errors import (
     PoleError,
 )
 
-__all__ = ["log_gamma", "gamma_ratio_abs_sq", "hyp2f1"]
-
-_POLE_TOL = 1e-14
-
-
-def _is_pole(z: complex) -> bool:
-    k = math.floor(z.real + 0.5)
-    return k <= 0.5 and abs(z - k) <= _POLE_TOL
+__all__ = ["log_gamma", "hyp2f1"]
 
 
 def log_gamma(z: complex) -> complex:
@@ -36,37 +24,9 @@ def log_gamma(z: complex) -> complex:
     Raises PoleError at the nonpositive integers.
     """
     z = complex(z)
-    if _is_pole(z):
+    if _kernels._near_nonpositive_int(z, _kernels.POLE_TOL):
         raise PoleError(f"log_gamma pole at z={z}")
     return _kernels.lgamma_c(z)
-
-
-def gamma_ratio_abs_sq(numerators: Sequence[complex],
-                       denominators: Sequence[complex]) -> float:
-    """|prod Gamma(numerators) / prod Gamma(denominators)|^2.
-
-    Evaluated in the log domain, so moderate pole proximity and large
-    imaginary parts never overflow.  A denominator at an exact pole makes the
-    whole ratio exactly 0.0; a numerator at a pole raises PoleError.  Terms
-    are accumulated as pairwise differences so that an argument shared by
-    both lists cancels exactly.
-    """
-    nums = [complex(n) for n in numerators]
-    dens = [complex(d) for d in denominators]
-    for d in dens:
-        if _is_pole(d):
-            return 0.0
-    for n in nums:
-        if _is_pole(n):
-            raise PoleError(f"gamma_ratio_abs_sq numerator pole at {n}")
-    acc = 0.0
-    for n, d in zip(nums, dens):
-        acc += _kernels.lgamma_c(n).real - _kernels.lgamma_c(d).real
-    for n in nums[len(dens):]:
-        acc += _kernels.lgamma_c(n).real
-    for d in dens[len(nums):]:
-        acc -= _kernels.lgamma_c(d).real
-    return math.exp(2.0 * acc)
 
 
 def _check_series(value: complex, a: complex, b: complex, c: complex,
@@ -87,7 +47,7 @@ def hyp2f1(a: complex, b: complex, c: complex, z: float) -> complex:
     """
     a, b, c = complex(a), complex(b), complex(c)
     z = float(z)
-    if _is_pole(c):
+    if _kernels._near_nonpositive_int(c, _kernels.POLE_TOL):
         raise PoleError(f"hyp2f1 parameter c={c} at a pole")
     if z >= 1.0:
         raise InvalidParameterError(f"hyp2f1 argument z={z} not < 1")

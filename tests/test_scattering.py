@@ -3,8 +3,11 @@ transmission, conserved currents, and the sharp-step limit."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dkpscatter import (
     BoundaryEnergyError,
@@ -12,6 +15,7 @@ from dkpscatter import (
     EvanescentIncidentError,
     InvalidParameterError,
     Particle,
+    PoleError,
     Potential,
     Region,
     StepRT,
@@ -175,6 +179,11 @@ class TestConnectionCoefficients:
         assert cc.A == 1.0 + 0.0j
         assert cc.C == 0.0 + 0.0j
 
+    def test_threshold_numerator_pole_raises(self, pot, particle):
+        # nu = 0 at E = -a + m puts Gamma(1 - c1) = Gamma(0) in A
+        with pytest.raises(PoleError):
+            connection_coefficients(kinematics(pot, particle, -4.0))
+
     def test_one_evanescent_channel_full_reflection(self, pot, particle):
         cc = connection_coefficients(kinematics(pot, particle, 5.0))
         assert abs(abs(cc.C / cc.A) ** 2 - 1.0) <= 1e-13
@@ -239,6 +248,82 @@ class TestScatteringCoefficients:
         res = scattering_coefficients(Potential(5.0, 1e4), particle, 2.5)
         ref = step_rt(5.0, 1.0, 2.5)
         assert abs(res.R - ref.R) <= 1e-4
+
+
+def _gamma_route_rt(a, b, m, energy):
+    """R = |C/A|^2 and T = (mu/nu)/|A|^2 at 50 digits, from mp.loggamma of
+    the connection-coefficient arguments, independent of the closed form."""
+    with mp.workdps(50):
+        a, b, m, energy = (mp.mpf(v) for v in (a, b, m, energy))
+
+        def half_wavenumber(excess):
+            return mp.sign(excess) * mp.sqrt(excess ** 2 - m ** 2) / (2 * b)
+
+        nu, mu = half_wavenumber(energy + a), half_wavenumber(energy - a)
+        disc = b * b - 4 * a * a
+        lam = ((b + mp.sqrt(disc)) / (2 * b) if disc >= 0
+               else mp.mpc(0.5, mp.sqrt(-disc) / (2 * b)))
+        al, ga = 1j * nu, 1j * mu
+        a1, b1, c1 = al + lam - ga, al + lam + ga, 1 + 2 * al
+        a2, b2, c2 = -al + lam + ga, -al + lam - ga, 1 - 2 * al
+        lg = mp.loggamma
+        log_a = lg(1 - b1 + a1) + lg(1 - c1) - lg(1 - c1 + a1) - lg(1 - b1)
+        log_c = lg(1 - a2 + b2) + lg(1 - c2) - lg(1 - c2 + b2) - lg(1 - a2)
+        refl = mp.exp(2 * (mp.re(log_c) - mp.re(log_a)))
+        trans = mu / nu * mp.exp(-2 * mp.re(log_a))
+        return float(refl), float(trans)
+
+
+# High energy, shallow and steep steps, a tall step, a real interior
+# exponent in band III, a tall shallow step just above its top threshold,
+# band III with kappa far above |nu| + |mu| (T underflows to -0.0), and 1e-6
+# inside each threshold of (5, 3, 1).
+EXTREME_POINTS = [
+    (5.0, 3.0, 1e8), (5.0, 3.0, 1e7), (5.0, 0.01, 1e4), (500.0, 1.0, 2.5),
+    (5.0, 1e6, 2.5), (5.0, 20.0, 0.3), (410.0, 0.1, 411.0 + 1e-4),
+    (5.0, 1e-3, 3.9),
+    (5.0, 3.0, 6.0 + 1e-6), (5.0, 3.0, 4.0 - 1e-6),
+    (5.0, 3.0, -4.0 + 1e-6), (5.0, 3.0, -6.0 - 1e-6),
+]
+
+
+class TestExtremeParameters:
+    @pytest.mark.parametrize("a,b,energy", EXTREME_POINTS)
+    def test_against_mpmath_gamma_route(self, a, b, energy):
+        res = scattering_coefficients(Potential(a, b), Particle(1.0), energy)
+        r_ref, t_ref = _gamma_route_rt(a, b, 1.0, energy)
+        scale = max(1.0, abs(r_ref), abs(t_ref))
+        assert abs(res.R - r_ref) <= 1e-12 * scale
+        assert abs(res.T - t_ref) <= 1e-12 * scale
+        assert abs(res.R + res.T - 1.0) <= 1e-12
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(log_b=st.floats(-2.0, 6.0), a=st.floats(0.0, 500.0),
+           band=st.sampled_from([Region.I, Region.III, Region.V]),
+           log_excess=st.floats(-8.0, 8.0), frac=st.floats(-1.0, 1.0))
+    def test_unitarity_and_signs(self, log_b, a, band, log_excess, frac):
+        # m = 1; bands I/V sit 10^log_excess past the outer thresholds, band
+        # III at frac of the way to its edges
+        if band is Region.III:
+            energy = frac * (a - 1.0)
+        else:
+            energy = min(a + 1.0 + 10.0 ** log_excess, 1e8)
+            if band is Region.V:
+                energy = -energy
+        pot, particle = Potential(a, 10.0 ** log_b), Particle(1.0)
+        assume(classify_region(pot, particle, energy) is band)
+        res = scattering_coefficients(pot, particle, energy)
+        assert math.isfinite(res.R) and math.isfinite(res.T)
+        # relative to the larger coefficient: near E = 0 with b >> a, R
+        # reaches 1e5 and more, where doubles are spaced wider than 1e-12
+        assert abs(res.R + res.T - 1.0) <= 1e-12 * max(1.0, res.R)
+        if band is Region.III:
+            # R = 1 - T rounds to 1.0 once -T drops below half an ulp of 1,
+            # as it does for deep tunnelling (kappa well above |nu| + |mu|)
+            assert res.T < 0.0
+            assert res.R > 1.0 or (res.R == 1.0 and -res.T <= 2.0 ** -52)
+        else:
+            assert 0.0 <= res.R < 1.0
 
 
 class TestCurrents:
