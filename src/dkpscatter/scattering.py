@@ -183,8 +183,9 @@ def kinematics(pot: Potential, particle: Particle, energy: float) -> KinematicPa
     a, b, m = pot.a, pot.b, particle.m
     e_plus = energy + a
     e_minus = energy - a
-    nu = _half_wavenumber(e_plus * e_plus - m * m, e_plus) / (2.0 * b)
-    mu = _half_wavenumber(e_minus * e_minus - m * m, e_minus) / (2.0 * b)
+    # (e - m)(e + m) keeps its digits near a threshold, where e*e - m*m cancels
+    nu = _half_wavenumber((e_plus - m) * (e_plus + m), e_plus) / (2.0 * b)
+    mu = _half_wavenumber((e_minus - m) * (e_minus + m), e_minus) / (2.0 * b)
     disc = b * b - 4.0 * a * a
     if disc >= 0:
         lam = complex((b + math.sqrt(disc)) / (2.0 * b), 0.0)
@@ -265,8 +266,9 @@ def connection_coefficients(k: KinematicParams) -> ConnectionCoefficients:
 _TWO_PI = 2.0 * math.pi
 
 
-def _propagating_rt(k: KinematicParams) -> tuple[float, float]:
-    """R and T for real nu and mu.
+def _propagating_rt(k: KinematicParams, a: float,
+                    b: float) -> tuple[float, float]:
+    """R and T for real nu and mu on the step a tanh(bx).
 
     R = |C/A|^2 and T = (mu/nu)/|A|^2 reduce, through |Gamma(1+iy)|^2 =
     pi y/sinh(pi y), |Gamma(1/2+iy)|^2 = pi/cosh(pi y) and Gamma(s)Gamma(1-s)
@@ -298,7 +300,10 @@ def _propagating_rt(k: KinematicParams) -> tuple[float, float]:
         s = math.exp(_TWO_PI * (kappa - big)) \
             * (1.0 + math.exp(-_TWO_PI * kappa)) ** 2
     else:
-        s = 4.0 * math.sin(math.pi * (1.0 - k.lam.real)) ** 2 \
+        # 1 - lam without the cancellation of a lam rounded near 1 (b >> a);
+        # exactly 0 for a = 0
+        one_minus_lam = 2.0 * a * a / (b * (b + math.sqrt(b * b - 4.0 * a * a)))
+        s = 4.0 * math.sin(math.pi * one_minus_lam) ** 2 \
             * math.exp(-_TWO_PI * big)
     if (nu < 0.0) == (mu < 0.0):
         den = s + sh_sum
@@ -323,7 +328,8 @@ def scattering_coefficients(pot: Potential, particle: Particle,
             "(or in the fully evanescent gap)")
     if region in (Region.II, Region.IV):
         return ScatteringResult(energy, region, 1.0, 0.0, 0.0)
-    refl, trans = _propagating_rt(kinematics(pot, particle, energy))
+    refl, trans = _propagating_rt(kinematics(pot, particle, energy),
+                                  pot.a, pot.b)
     return ScatteringResult(energy, region, refl, trans, refl + trans - 1.0)
 
 

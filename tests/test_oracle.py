@@ -2,6 +2,8 @@
 fixtures, conservation properties, and failure modes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dkpscatter import (
     BoundaryEnergyError,
@@ -11,7 +13,9 @@ from dkpscatter import (
     NonConvergenceError,
     Particle,
     Potential,
+    Region,
     numeric_rt,
+    scattering_coefficients,
 )
 from dkpscatter.oracle import _integrate
 
@@ -76,16 +80,50 @@ class TestNumericRT:
             assert abs(res.unitarity_defect) <= 1e-9, f"E={energy}"
             assert res.steps > 0
 
-    def test_defect_shrinks_with_tolerance(self, pot, particle):
-        # one tolerance octave (8x) buys at least 5x on the defect,
-        # two octaves at least 10x; the trend must be monotone
-        defects = []
-        for tol in (1e-6, 1.25e-7, 6.25e-8):
+    def test_error_bounded_by_tolerance(self, pot, particle):
+        # the error against the closed form stays within the tolerance and
+        # never grows as it tightens; every slice has determinant 1, so the
+        # unitarity defect sits at rounding level at every tolerance
+        ana = scattering_coefficients(pot, particle, 2.5)
+        errors = []
+        for tol in (1e-5, 1e-6, 1e-8, 1e-10):
             s = IntegrationSettings(rel_tol=tol, abs_tol=tol)
-            defects.append(abs(numeric_rt(pot, particle, 2.5, s).unitarity_defect))
-        assert defects[0] > defects[1] > defects[2]
-        assert defects[0] / defects[1] >= 5.0
-        assert defects[0] / defects[2] >= 10.0
+            res = numeric_rt(pot, particle, 2.5, s)
+            errors.append(max(abs(res.R - ana.R), abs(res.T - ana.T)))
+            assert errors[-1] <= tol, f"tol={tol}"
+            assert abs(res.R + res.T - 1.0) <= 1e-12, f"tol={tol}"
+        assert all(fine <= coarse for coarse, fine in zip(errors, errors[1:]))
+
+    def test_high_energy_long_window(self):
+        # (|E| + a)/b = 70: far more oscillations across the window than at
+        # the fixtures
+        pot, particle = Potential(5.0, 0.5), Particle(1.0)
+        res = numeric_rt(pot, particle, 30.0)
+        ana = scattering_coefficients(pot, particle, 30.0)
+        assert abs(res.R - ana.R) <= 1e-9
+        assert abs(res.T - ana.T) <= 1e-9
+        assert abs(res.R + res.T - 1.0) <= 1e-11
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(band=st.sampled_from([Region.I, Region.III, Region.V]),
+           a=st.floats(1.5, 20.0), log_excess=st.floats(-3.0, 1.3),
+           frac=st.floats(-0.99, 0.99), ratio=st.floats(1.0, 30.0))
+    def test_agrees_with_closed_form(self, band, a, log_excess, frac, ratio):
+        # m = 1; bands I/V sit 10^log_excess past the outer thresholds, band
+        # III at frac of the way to its edges; b is set by (|E| + a)/b = ratio
+        if band is Region.III:
+            energy = frac * (a - 1.0)
+        else:
+            energy = a + 1.0 + 10.0 ** log_excess
+            if band is Region.V:
+                energy = -energy
+        pot, particle = Potential(a, (abs(energy) + a) / ratio), Particle(1.0)
+        res = numeric_rt(pot, particle, energy)
+        ana = scattering_coefficients(pot, particle, energy)
+        assert ana.region is band
+        scale = max(1.0, abs(ana.R), abs(ana.T))
+        assert abs(res.R - ana.R) <= 1e-8 * scale
+        assert abs(res.T - ana.T) <= 1e-8 * scale
 
     def test_free_particle(self):
         pot = Potential(0.0, 2.0)

@@ -276,14 +276,17 @@ def _gamma_route_rt(a, b, m, energy):
 
 # High energy, shallow and steep steps, a tall step, a real interior
 # exponent in band III, a tall shallow step just above its top threshold,
-# band III with kappa far above |nu| + |mu| (T underflows to -0.0), and 1e-6
-# inside each threshold of (5, 3, 1).
+# band III with kappa far above |nu| + |mu| (T underflows to -0.0), 1e-6
+# inside each threshold of (5, 3, 1), 1.4e-8 below -a - m (where
+# (E + a)^2 - m^2 cancels), and E = 0 with b >> a (where lam rounds near 1).
 EXTREME_POINTS = [
     (5.0, 3.0, 1e8), (5.0, 3.0, 1e7), (5.0, 0.01, 1e4), (500.0, 1.0, 2.5),
     (5.0, 1e6, 2.5), (5.0, 20.0, 0.3), (410.0, 0.1, 411.0 + 1e-4),
     (5.0, 1e-3, 3.9),
     (5.0, 3.0, 6.0 + 1e-6), (5.0, 3.0, 4.0 - 1e-6),
     (5.0, 3.0, -4.0 + 1e-6), (5.0, 3.0, -6.0 - 1e-6),
+    (15.294991516776768, 0.01597963620779877, -16.29499153081392),
+    (1.5, 1e5, 0.0), (2.0, 1e4, 0.0),
 ]
 
 
