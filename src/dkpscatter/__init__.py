@@ -7,7 +7,6 @@ Superradiant energies (R > 1, T < 0) appear for a > m in the band
 -a + m < E < a - m.
 """
 
-from ._jit import JIT_ENABLED
 from .algebra import (
     BetaSet,
     SpinorTriple,
@@ -22,6 +21,7 @@ from .errors import (
     DegenerateParametersError,
     DkpScatterError,
     EvanescentIncidentError,
+    IllConditionedError,
     InvalidParameterError,
     NonConvergenceError,
     PoleError,
@@ -59,8 +59,10 @@ from .wavefield import (
 
 __version__ = "0.1.0"
 
+# Always False: no compiled path exists.  The benchmark's worker still reads it.
+JIT_ENABLED = False
+
 __all__ = [
-    "JIT_ENABLED",
     "__version__",
     # errors
     "DkpScatterError",
@@ -68,6 +70,7 @@ __all__ = [
     "PoleError",
     "NonConvergenceError",
     "DegenerateParametersError",
+    "IllConditionedError",
     "BoundaryEnergyError",
     "EvanescentIncidentError",
     "ChannelClosedError",

@@ -16,7 +16,7 @@ unit vector V):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -93,10 +93,6 @@ def trilinear_residual(betas: BetaSet | None = None) -> float:
     return worst
 
 
-def _unit_polarization() -> np.ndarray:
-    return np.array([1.0, 0.0, 0.0])
-
-
 @dataclass(eq=False)
 class SpinorTriple:
     """Scalar field components at one position, plus the polarization
@@ -105,16 +101,23 @@ class SpinorTriple:
     psi: complex
     phi: complex
     theta: complex
-    polarization: np.ndarray = field(default_factory=_unit_polarization)
+    polarization: np.ndarray = (1.0, 0.0, 0.0)  # any 3-sequence; kept as an array
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.polarization, dtype=float)
-        if v.shape != (3,) or not np.isfinite(v).all():
+        # plain float checks: this runs once per wavefunction sample
+        v = self.polarization
+        if isinstance(v, np.ndarray):
+            v = v.tolist()  # any shape but (3,) then fails to unpack as floats
+        try:
+            x, y, z = map(float, v)
+        except (TypeError, ValueError):
+            raise InvalidParameterError(
+                "polarization must be a finite 3-vector") from None
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise InvalidParameterError("polarization must be a finite 3-vector")
-        n = float(np.linalg.norm(v))
-        if abs(n - 1.0) > 1e-12:
+        if abs(math.hypot(x, y, z) - 1.0) > 1e-12:
             raise InvalidParameterError("polarization must be a unit vector")
-        self.polarization = v
+        self.polarization = np.array((x, y, z))
 
 
 def assemble_spinor(triple: SpinorTriple) -> np.ndarray:

@@ -17,6 +17,11 @@ class NonConvergenceError(DkpScatterError):
     """An iterative evaluation hit its term or step cap before converging."""
 
 
+class IllConditionedError(DkpScatterError):
+    """Cancellation in an evaluation would leave fewer correct digits than
+    the package guarantees."""
+
+
 class DegenerateParametersError(DkpScatterError):
     """Hypergeometric parameter difference a-b is integer where the inversion
     formula needs it nonintegral."""

@@ -16,7 +16,6 @@ from .errors import (
     ChannelClosedError,
     EvanescentIncidentError,
     InvalidParameterError,
-    PoleError,
 )
 
 __all__ = [
@@ -237,29 +236,21 @@ def hypergeometric_parameters(k: KinematicParams) -> HypergeometricParams:
     )
 
 
-def _gamma_ratio(n1: complex, n2: complex, d1: complex, d2: complex) -> complex:
-    # Gamma(n1)Gamma(n2) / (Gamma(d1)Gamma(d2)); exactly 0 at a denominator pole
-    value = _kernels._coeff_ratio(n1, n2, d1, d2)
-    if value != value:  # NaN: a numerator argument is at a pole
-        raise PoleError(
-            f"gamma pole in connection coefficient at {n1} or {n2}")
-    return value
-
-
 def connection_coefficients(k: KinematicParams) -> ConnectionCoefficients:
     """Matching coefficients of the incident-side expansion onto the
     transmitted solution.  B and D obey B = A b1/c1 and D = C a2/c2.
 
     Each is a ratio of Gamma functions evaluated in the log domain; a
-    shared argument cancels exactly, so for a = 0 A = 1 and C = 0 exactly."""
+    shared argument cancels exactly, so for a = 0 A = 1 and C = 0 exactly.
+    Raises PoleError when a numerator argument is at a pole."""
     hp = hypergeometric_parameters(k)
     a_num, a_den = 1.0 - hp.b1 + hp.a1, 1.0 - hp.c1 + hp.a1
     c_num, c_den = 1.0 - hp.a2 + hp.b2, 1.0 - hp.c2 + hp.b2
     return ConnectionCoefficients(
-        A=_gamma_ratio(a_num, 1.0 - hp.c1, a_den, 1.0 - hp.b1),
-        B=_gamma_ratio(a_num, -hp.c1, a_den, -hp.b1),
-        C=_gamma_ratio(c_num, 1.0 - hp.c2, c_den, 1.0 - hp.a2),
-        D=_gamma_ratio(c_num, -hp.c2, c_den, -hp.a2),
+        A=_kernels._coeff_ratio(a_num, 1.0 - hp.c1, a_den, 1.0 - hp.b1),
+        B=_kernels._coeff_ratio(a_num, -hp.c1, a_den, -hp.b1),
+        C=_kernels._coeff_ratio(c_num, 1.0 - hp.c2, c_den, 1.0 - hp.a2),
+        D=_kernels._coeff_ratio(c_num, -hp.c2, c_den, -hp.a2),
     )
 
 

@@ -15,18 +15,6 @@ def particle() -> dk.Particle:
     return dk.Particle(m=1.0)
 
 
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # First calls trigger jit compilation; keep that out of timed assertions.
-    p = dk.Potential(a=5.0, b=3.0)
-    m = dk.Particle(m=1.0)
-    dk.scattering_coefficients(p, m, 7.0)
-    dk.numeric_rt(p, m, 7.0)
-    dk.wavefunction(0.5, "transmitted", p, m, 7.0)
-    dk.wavefunction(2.5, "incident", p, m, 7.0)
-    dk.log_gamma(0.5 + 14j)
-
-
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     # Repeat the one-line acceptance verdicts where capture cannot hide them.
     mod = sys.modules.get("test_acceptance")

@@ -9,13 +9,18 @@ import pytest
 
 from dkpscatter import (
     DegenerateParametersError,
+    IllConditionedError,
     InvalidParameterError,
     NonConvergenceError,
+    Particle,
     PoleError,
+    Potential,
     hyp2f1,
+    hypergeometric_parameters,
+    kinematics,
     log_gamma,
 )
-from dkpscatter.specfun import _direct_series, _pfaff_transform
+from dkpscatter._kernels import gauss_series, pfaff_series
 
 # Reference values frozen from 40-digit arbitrary-precision evaluation.
 LOG_GAMMA_TABLE = {
@@ -134,8 +139,8 @@ class TestHyp2f1:
             if (c - a - b).real <= 0.05:
                 continue
             z = rng.uniform(-1.0, -0.5)
-            direct = _direct_series(a, b, c, z)
-            mapped = _pfaff_transform(a, b, c, z)
+            direct, _ = gauss_series(a, b, c, z)
+            mapped, _ = pfaff_series(a, b, c, z)
             assert abs(direct - mapped) <= 1e-9 * abs(direct)
             checked += 1
 
@@ -164,6 +169,34 @@ class TestHyp2f1:
     def test_nonconvergence_raises(self):
         with pytest.raises(NonConvergenceError):
             hyp2f1(0.3, 0.4, 0.5, 0.99999)
+
+    def test_cancellation_figure(self):
+        # positive terms: the figure is max|term| / sum = 1 / F < 1
+        value, cond = gauss_series(1.0, 1.0, 2.0, 0.5)
+        assert abs(value - 2.0 * math.log(2.0)) <= 1e-15
+        assert cond == 1.0 / abs(value)
+        # F(-20, 1; 1; 0.9) = 0.1^20: terms of up to 7e4 cancel
+        assert gauss_series(-20.0, 1.0, 1.0, 0.9)[1] > 1e15
+        # the Pfaff map carries the figure of its inner series
+        assert pfaff_series(0.5, 0.25, 2.0, -0.8)[1] == gauss_series(
+            0.5, 1.75, 2.0, -0.8 / (-0.8 - 1.0))[1]
+
+    def test_series_cancellation_raises(self):
+        with pytest.raises(IllConditionedError):
+            hyp2f1(-20.0, 1.0, 1.0, 0.9)
+
+    def test_large_parameter_cancellation_raises(self):
+        # transmitted-wave parameters at (a, b, m, E) = (5, 0.05, 1, 7): the
+        # Pfaff series cancels by 1e15; unguarded, the value is off by 3.8e9
+        hp = hypergeometric_parameters(
+            kinematics(Potential(5.0, 0.05), Particle(1.0), 7.0))
+        with pytest.raises(IllConditionedError):
+            hyp2f1(hp.a1, hp.b2, 1.0 + hp.a1 - hp.b1, -1.0)
+
+    def test_inversion_cancellation_raises(self):
+        # a - b 1e-9 from an integer: the two inversion terms are 1e9 and cancel
+        with pytest.raises(IllConditionedError):
+            hyp2f1(1.5 + 1e-9, 0.5, 2.3, -2.0)
 
     def test_shifted_parameters(self):
         # derivative-shifted parameter sets stay on the same dispatch

@@ -3,11 +3,16 @@ plane-wave asymptotics, component relations, and input guards."""
 
 import math
 
+import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dkpscatter import (
     BoundaryEnergyError,
+    DkpScatterError,
     EvanescentIncidentError,
+    IllConditionedError,
     IntegrationSettings,
     InvalidParameterError,
     Particle,
@@ -181,3 +186,83 @@ class TestGuards:
         assert turned.phi == plain.phi
         assert turned.theta == plain.theta
         assert tuple(turned.polarization) == (0.0, 1.0, 0.0)
+
+
+def _mpmath_wave(kind, a, b, m, energy, x):
+    """(psi, theta) of the wave at 40 digits: the hypergeometric forms with
+    mp.loggamma amplitudes, and theta = (i/m) psi' by mp.diff."""
+    with mp.workdps(40):
+        a, b, m, energy = (mp.mpf(v) for v in (a, b, m, energy))
+
+        def half(e):
+            q = (e - m) * (e + m)
+            return (mp.sign(e) * mp.sqrt(q) if q > 0 else 1j * mp.sqrt(-q)) / (2 * b)
+
+        nu, mu = half(energy + a), half(energy - a)
+        disc = b * b - 4 * a * a
+        lam = ((b + mp.sqrt(disc)) / (2 * b) if disc >= 0
+               else mp.mpc(0.5, mp.sqrt(-disc) / (2 * b)))
+        al, ga = 1j * nu, 1j * mu
+        a1, b1, c1 = al + lam - ga, al + lam + ga, 1 + 2 * al
+        a2, b2, c2 = -al + lam + ga, -al + lam - ga, 1 - 2 * al
+        lg = mp.loggamma
+
+        def psi(x):
+            if kind == "transmitted":
+                t = mp.exp(-2 * b * x)
+                return (mp.exp(2j * b * mu * x + lam * mp.log1p(t))
+                        * mp.hyp2f1(a1, b2, 1 + a1 - b1, -t))
+            s = mp.exp(2 * b * x)
+            if kind == "incident":
+                amp = lg(1 - b1 + a1) + lg(1 - c1) - lg(1 - c1 + a1) - lg(1 - b1)
+                return (mp.exp(amp + 2j * b * nu * x + lam * mp.log1p(s))
+                        * mp.hyp2f1(a1, b1, c1, -s))
+            amp = lg(1 - a2 + b2) + lg(1 - c2) - lg(1 - c2 + b2) - lg(1 - a2)
+            return (mp.exp(amp - 2j * b * nu * x + lam * mp.log1p(s))
+                    * mp.hyp2f1(a2, b2, c2, -s))
+
+        x = mp.mpf(x)
+        return complex(psi(x)), complex(1j * mp.diff(psi, x) / m)
+
+
+def _right_or_raises(kind, a, b, energy, x):
+    # the wave matches mpmath to 1e-8 relative, or a typed error is raised
+    try:
+        w = wavefunction(x, kind, Potential(a, b), Particle(1.0), energy)
+    except DkpScatterError:
+        return
+    psi, theta = _mpmath_wave(kind, a, b, 1.0, energy, x)
+    assert abs(w.psi - psi) <= 1e-8 * abs(psi)
+    assert abs(w.theta - theta) <= 1e-8 * abs(theta)
+
+
+class TestConditioningGuard:
+    def test_large_parameters_raise(self):
+        # the Pfaff series cancels by 1e15 here; unguarded, |psi| = 1.9e9, not 0.5
+        with pytest.raises(IllConditionedError):
+            wavefunction(0.0, "transmitted", Potential(5.0, 0.05), Particle(1.0), 7.0)
+
+    @pytest.mark.parametrize("kind", ["incident", "reflected"])
+    def test_near_degenerate_band_two_raises(self, kind):
+        # 1e-7 above 2|mu| = 1 the two inversion terms cancel
+        energy = 5.0 + math.sqrt(0.96) + 1e-7
+        with pytest.raises(IllConditionedError):
+            wavefunction(1.0, kind, Potential(5.0, 0.2), Particle(1.0), energy)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(log_a=st.floats(math.log(0.1), math.log(50.0)),
+           log_b=st.floats(math.log(0.03), math.log(30.0)),
+           frac=st.floats(-1.0, 1.0), bx=st.floats(-3.0, 3.0),
+           kind=st.sampled_from(["incident", "reflected", "transmitted"]))
+    def test_right_or_raises(self, log_a, log_b, frac, bx, kind):
+        a, b = math.exp(log_a), math.exp(log_b)
+        _right_or_raises(kind, a, b, frac * (a + 4.0), bx / b)
+
+    @pytest.mark.parametrize("two_mu", [1, 2, 3, 4])
+    @pytest.mark.parametrize("offset", [-1e-3, -1e-6, -1e-9, 0.0, 1e-9, 1e-6, 1e-3])
+    def test_band_two_across_integer_two_mu(self, two_mu, offset):
+        # band II of a = 5, b = 0.2, m = 1: |mu| = sqrt(1 - (E-5)^2) / 0.4
+        energy = 5.0 + math.sqrt(1.0 - (0.2 * two_mu) ** 2) + offset
+        for kind in ("incident", "reflected"):
+            for x in (-2.0, 1.0, 3.0):
+                _right_or_raises(kind, 5.0, 0.2, energy, x)
