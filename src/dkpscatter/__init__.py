@@ -29,6 +29,7 @@ from .errors import (
 )
 from .oracle import IntegrationSettings, NumericRT, numeric_rt
 from .scattering import (
+    BOUNDARY_EPS,
     ConnectionCoefficients,
     Currents,
     HypergeometricParams,
@@ -38,7 +39,6 @@ from .scattering import (
     Region,
     ScatteringResult,
     StepRT,
-    boundary_eps,
     classify_region,
     connection_coefficients,
     critical_energies,
@@ -95,8 +95,8 @@ __all__ = [
     "ScatteringResult",
     "Currents",
     "StepRT",
+    "BOUNDARY_EPS",
     "critical_energies",
-    "boundary_eps",
     "kinematics",
     "classify_region",
     "hypergeometric_parameters",

@@ -11,7 +11,7 @@ import argparse
 import math
 import os
 import sys
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_args
 
 import numpy as np
 
@@ -20,17 +20,17 @@ from .algebra import beta_matrices, trilinear_residual
 from .errors import BoundaryEnergyError, DkpScatterError
 from .oracle import numeric_rt
 from .scattering import (
+    BOUNDARY_EPS,
     Particle,
     Potential,
     Region,
-    boundary_eps,
     classify_region,
     critical_energies,
     kinematics,
     scattering_coefficients,
     step_rt,
 )
-from .wavefield import component_residuals, wavefunction
+from .wavefield import Kind, component_residuals, wavefunction
 
 __all__ = ["main"]
 
@@ -123,7 +123,7 @@ def _cmd_regions(args: argparse.Namespace) -> int:
     spanr = max(1.0, par.m)
     edges = [crits[0] - spanr, *crits, crits[-1] + spanr]
     for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi - lo <= 2 * boundary_eps():
+        if hi - lo <= 2 * BOUNDARY_EPS:
             label = "empty"
             span = f"{_fmt12(lo if lo in crits else hi)}"
             print(f"(degenerate band at E = {span}: {label})")
@@ -288,8 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xmin", type=float, required=True)
     p.add_argument("--xmax", type=float, required=True)
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--kind", choices=("incident", "reflected", "transmitted"),
-                   required=True)
+    p.add_argument("--kind", choices=get_args(Kind), required=True)
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p.set_defaults(func=_cmd_wavefunction)
 

@@ -28,7 +28,8 @@ class DegenerateParametersError(DkpScatterError):
 
 
 class BoundaryEnergyError(DkpScatterError):
-    """Energy sits within the configured guard band of a channel threshold."""
+    """Energy sits within BOUNDARY_EPS of a channel threshold, or in the gap
+    where neither channel propagates."""
 
 
 class EvanescentIncidentError(DkpScatterError):
@@ -40,4 +41,6 @@ class ChannelClosedError(DkpScatterError):
 
 
 class RangeError(DkpScatterError):
-    """A position argument is outside the numerically representable window."""
+    """An input is outside the numerically representable range: a position
+    with |2bx| above the exponent cap, or parameters whose kinematics
+    (nu, mu, lam) or whose R and T leave the floating-point range."""

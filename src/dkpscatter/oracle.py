@@ -14,13 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BoundaryEnergyError,
-    ChannelClosedError,
-    InvalidParameterError,
-    NonConvergenceError,
-)
-from .scattering import Particle, Potential, Region, classify_region, kinematics
+from .errors import ChannelClosedError, InvalidParameterError, NonConvergenceError
+from .scattering import Particle, Potential, Region, _band
 
 __all__ = ["IntegrationSettings", "NumericRT", "numeric_rt"]
 
@@ -168,14 +163,11 @@ def numeric_rt(pot: Potential, particle: Particle, energy: float,
     """
     if settings is None:
         settings = IntegrationSettings()
-    region = classify_region(pot, particle, energy)
-    if region is Region.BOUNDARY:
-        raise BoundaryEnergyError(f"E={energy} on a channel threshold band")
+    region, k = _band(pot, particle, energy)
     if region in (Region.II, Region.IV):
         raise ChannelClosedError(
             f"plane-wave decomposition needs both channels open, region {region.token}")
     x_left, x_right = settings.window(pot)
-    k = kinematics(pot, particle, energy)
     k_inc = 2.0 * pot.b * k.nu.real
     k_trans = 2.0 * pot.b * k.mu.real
     psi0 = cmath.exp(1j * k_trans * x_right)

@@ -4,8 +4,9 @@ and transmission, and the sharp-step limit."""
 
 from __future__ import annotations
 
+import cmath
 import math
-import os
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -16,6 +17,7 @@ from .errors import (
     ChannelClosedError,
     EvanescentIncidentError,
     InvalidParameterError,
+    RangeError,
 )
 
 __all__ = [
@@ -28,8 +30,8 @@ __all__ = [
     "ScatteringResult",
     "Currents",
     "StepRT",
+    "BOUNDARY_EPS",
     "critical_energies",
-    "boundary_eps",
     "kinematics",
     "classify_region",
     "hypergeometric_parameters",
@@ -39,7 +41,8 @@ __all__ = [
     "step_rt",
 ]
 
-_DEFAULT_BOUNDARY_EPS = 1e-9
+# Guard half-width around each channel threshold +-a +- m
+BOUNDARY_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -119,9 +122,7 @@ class HypergeometricParams(NamedTuple):
 
 class ConnectionCoefficients(NamedTuple):
     A: complex
-    B: complex
     C: complex
-    D: complex
 
 
 @dataclass(frozen=True)
@@ -152,23 +153,6 @@ def critical_energies(pot: Potential, particle: Particle) -> tuple[float, ...]:
     return tuple(sorted((-a - m, -a + m, a - m, a + m)))
 
 
-def boundary_eps() -> float:
-    """Guard half-width around the critical energies.  Overridable through
-    the environment variable DKP_EPS_BOUNDARY; read on every call."""
-    raw = os.environ.get("DKP_EPS_BOUNDARY", "")
-    if raw.strip():
-        try:
-            val = float(raw)
-        except ValueError:
-            raise InvalidParameterError(
-                f"DKP_EPS_BOUNDARY is not a number: {raw!r}") from None
-        if not (0 < val < 1):
-            raise InvalidParameterError(
-                f"DKP_EPS_BOUNDARY out of range (0, 1): {val}")
-        return val
-    return _DEFAULT_BOUNDARY_EPS
-
-
 def _half_wavenumber(excess: float, scale: float) -> complex:
     # sqrt(excess^2-ish)/(2b) with the sign/branch convention of the docstring
     if excess > 0:
@@ -193,34 +177,71 @@ def kinematics(pot: Potential, particle: Particle, energy: float) -> KinematicPa
     return KinematicParams(nu, mu, lam)
 
 
+def _band(pot: Potential, particle: Particle,
+          energy: float) -> tuple[Region, KinematicParams]:
+    """The energy decision of every entry point: band label and kinematics,
+    with kinematics computed once.
+
+    The band follows the reality pattern of (nu, mu), whose real parts are
+    zero exactly in an evanescent channel: both real with the same sign I
+    (positive) or V (negative), opposite signs III, only nu real II, only mu
+    real IV.  Raises InvalidParameterError for a non-finite energy,
+    RangeError when nu, mu or lam leave the floating-point range, and
+    BoundaryEnergyError within BOUNDARY_EPS of a threshold or where neither
+    channel propagates (the gap, possible only for |a| < m)."""
+    if not math.isfinite(energy):
+        raise InvalidParameterError(f"energy must be finite, got {energy}")
+    k = kinematics(pot, particle, energy)
+    # lam needs b*b - 4a*a, which loses its digits once b*b underflows
+    if not all(map(cmath.isfinite, k)) or pot.b * pot.b < sys.float_info.min:
+        raise RangeError(
+            f"kinematics out of floating-point range at E={energy}, "
+            f"a={pot.a}, b={pot.b}, m={particle.m}")
+    nu, mu = k.nu.real, k.mu.real
+    if nu and mu:
+        if (nu > 0.0) != (mu > 0.0):
+            region = Region.III
+        else:
+            region = Region.I if nu > 0.0 else Region.V
+    elif nu:
+        region = Region.II
+    elif mu:
+        region = Region.IV
+    else:
+        region = Region.BOUNDARY
+    for ec in critical_energies(pot, particle):
+        if abs(energy - ec) <= BOUNDARY_EPS:
+            region = Region.BOUNDARY
+    if region is Region.BOUNDARY:
+        raise BoundaryEnergyError(
+            f"E={energy} within {BOUNDARY_EPS} of a channel threshold "
+            "(or in the fully evanescent gap)")
+    return region, k
+
+
+def _incident_kinematics(pot: Potential, particle: Particle,
+                         energy: float) -> KinematicParams:
+    """Kinematics at an energy whose incident channel propagates."""
+    region, k = _band(pot, particle, energy)
+    if region is Region.IV:
+        raise EvanescentIncidentError(
+            f"incident channel evanescent at E={energy}")
+    return k
+
+
 def classify_region(pot: Potential, particle: Particle, energy: float) -> Region:
     """Band label for the energy.
 
-    BOUNDARY within boundary_eps() of a channel threshold, and for the band
+    BOUNDARY within BOUNDARY_EPS of a channel threshold, and for the band
     where both channels are evanescent (possible only for |a| < m).  Otherwise
-    the label follows the reality pattern of (nu, mu): both real and above all
-    thresholds I, below all V, between III; only mu imaginary II; only nu
-    imaginary IV.
-    """
-    crits = critical_energies(pot, particle)
-    eps = boundary_eps()
-    for ec in crits:
-        if abs(energy - ec) <= eps:
-            return Region.BOUNDARY
-    a, m = pot.a, particle.m
-    nu_open = (energy + a) ** 2 > m * m
-    mu_open = (energy - a) ** 2 > m * m
-    if nu_open and mu_open:
-        if energy > crits[-1]:
-            return Region.I
-        if energy < crits[0]:
-            return Region.V
-        return Region.III
-    if nu_open:
-        return Region.II
-    if mu_open:
-        return Region.IV
-    return Region.BOUNDARY
+    the label follows the reality pattern of (nu, mu): both real and positive
+    I, both negative V, opposite signs III; only nu real II; only mu real IV.
+    Raises InvalidParameterError for a non-finite energy and RangeError where
+    the kinematics leave the floating-point range."""
+    try:
+        return _band(pot, particle, energy)[0]
+    except BoundaryEnergyError:
+        return Region.BOUNDARY
 
 
 def hypergeometric_parameters(k: KinematicParams) -> HypergeometricParams:
@@ -237,8 +258,8 @@ def hypergeometric_parameters(k: KinematicParams) -> HypergeometricParams:
 
 
 def connection_coefficients(k: KinematicParams) -> ConnectionCoefficients:
-    """Matching coefficients of the incident-side expansion onto the
-    transmitted solution.  B and D obey B = A b1/c1 and D = C a2/c2.
+    """Matching coefficients A (incident) and C (reflected) of the
+    incident-side expansion onto the transmitted solution.
 
     Each is a ratio of Gamma functions evaluated in the log domain; a
     shared argument cancels exactly, so for a = 0 A = 1 and C = 0 exactly.
@@ -248,9 +269,7 @@ def connection_coefficients(k: KinematicParams) -> ConnectionCoefficients:
     c_num, c_den = 1.0 - hp.a2 + hp.b2, 1.0 - hp.c2 + hp.b2
     return ConnectionCoefficients(
         A=_kernels._coeff_ratio(a_num, 1.0 - hp.c1, a_den, 1.0 - hp.b1),
-        B=_kernels._coeff_ratio(a_num, -hp.c1, a_den, -hp.b1),
         C=_kernels._coeff_ratio(c_num, 1.0 - hp.c2, c_den, 1.0 - hp.a2),
-        D=_kernels._coeff_ratio(c_num, -hp.c2, c_den, -hp.a2),
     )
 
 
@@ -296,10 +315,14 @@ def _propagating_rt(k: KinematicParams, a: float,
         one_minus_lam = 2.0 * a * a / (b * (b + math.sqrt(b * b - 4.0 * a * a)))
         s = 4.0 * math.sin(math.pi * one_minus_lam) ** 2 \
             * math.exp(-_TWO_PI * big)
-    if (nu < 0.0) == (mu < 0.0):
-        den = s + sh_sum
+    same_sign = (nu < 0.0) == (mu < 0.0)
+    den = s + (sh_sum if same_sign else sh_diff)
+    if not den > 0.0:
+        # S and the sinh^2 term both underflowed, which takes nu +- mu and
+        # 1 - lam below about 1e-154
+        raise RangeError(f"R and T not representable at nu={nu}, mu={mu}")
+    if same_sign:
         return (s + sh_diff) / den, prod / den
-    den = s + sh_diff
     return (s + sh_sum) / den, -prod / den
 
 
@@ -312,15 +335,10 @@ def scattering_coefficients(pot: Potential, particle: Particle,
     bands the result is exact: R = 1, T = 0 (for an imaginary nu this follows
     from the x -> -x mirror, which swaps the channel roles).  Energies inside
     the boundary guard are rejected."""
-    region = classify_region(pot, particle, energy)
-    if region is Region.BOUNDARY:
-        raise BoundaryEnergyError(
-            f"E={energy} within {boundary_eps()} of a channel threshold "
-            "(or in the fully evanescent gap)")
+    region, k = _band(pot, particle, energy)
     if region in (Region.II, Region.IV):
         return ScatteringResult(energy, region, 1.0, 0.0, 0.0)
-    refl, trans = _propagating_rt(kinematics(pot, particle, energy),
-                                  pot.a, pot.b)
+    refl, trans = _propagating_rt(k, pot.a, pot.b)
     return ScatteringResult(energy, region, refl, trans, refl + trans - 1.0)
 
 
@@ -329,13 +347,7 @@ def currents(pot: Potential, particle: Particle, energy: float) -> Currents:
     j_inc = 6|A|^2 b nu / m, j_ref = -6|C|^2 b nu / m, j_trans = 6 b mu / m
     (zero when the transmitted channel is evanescent).  Requires a
     propagating incident channel."""
-    region = classify_region(pot, particle, energy)
-    if region is Region.BOUNDARY:
-        raise BoundaryEnergyError(f"E={energy} on a channel threshold band")
-    k = kinematics(pot, particle, energy)
-    if k.nu.imag != 0.0:
-        raise EvanescentIncidentError(
-            f"incident channel evanescent at E={energy}")
+    k = _incident_kinematics(pot, particle, energy)
     cc = connection_coefficients(k)
     b_over_m = pot.b / particle.m
     j_inc = 6.0 * abs(cc.A) ** 2 * b_over_m * k.nu.real

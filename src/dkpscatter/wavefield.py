@@ -6,26 +6,19 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Literal, NamedTuple
+from typing import Literal, NamedTuple, get_args
 
 import numpy as np
 
 from .algebra import SpinorTriple
-from .errors import (
-    BoundaryEnergyError,
-    EvanescentIncidentError,
-    InvalidParameterError,
-    RangeError,
-)
+from .errors import InvalidParameterError, RangeError
 from .scattering import (
     KinematicParams,
     Particle,
     Potential,
-    Region,
-    classify_region,
+    _incident_kinematics,
     connection_coefficients,
     hypergeometric_parameters,
-    kinematics,
 )
 from .specfun import hyp2f1
 
@@ -39,7 +32,7 @@ __all__ = [
 
 Kind = Literal["incident", "reflected", "transmitted"]
 
-_KINDS = ("incident", "reflected", "transmitted")
+_KINDS = get_args(Kind)
 
 # exp argument cap: keeps e^{2bx} and every power of (1+e^{2bx}) finite
 _EXPONENT_CAP = 700.0
@@ -64,18 +57,6 @@ def _check_window(x: float, pot: Potential) -> None:
     if abs(2.0 * pot.b * x) > _EXPONENT_CAP:
         raise RangeError(
             f"|2bx| = {abs(2 * pot.b * x)} exceeds {_EXPONENT_CAP}")
-
-
-def _guard_energy(pot: Potential, particle: Particle, energy: float) -> KinematicParams:
-    region = classify_region(pot, particle, energy)
-    if region is Region.BOUNDARY:
-        raise BoundaryEnergyError(
-            f"E={energy} on a channel threshold band")
-    k = kinematics(pot, particle, energy)
-    if k.nu.imag != 0.0:
-        raise EvanescentIncidentError(
-            f"incident channel evanescent at E={energy}")
-    return k
 
 
 def _scalar_parts(kind: str, x: float, pot: Potential, energy: float,
@@ -133,7 +114,7 @@ def wavefunction(x: float, kind: Kind, pot: Potential, particle: Particle,
     """
     _check_kind(kind)
     _check_window(x, pot)
-    k = _guard_energy(pot, particle, energy)
+    k = _incident_kinematics(pot, particle, energy)
     psi, dpsi = _scalar_parts(kind, x, pot, energy, k)
     return _triple(psi, dpsi, x, pot, particle, energy, polarization)
 
@@ -147,7 +128,7 @@ def asymptotic_wavefunction(x: float, kind: Kind, pot: Potential,
     the incident/transmitted side respectively."""
     _check_kind(kind)
     _check_window(x, pot)
-    k = _guard_energy(pot, particle, energy)
+    k = _incident_kinematics(pot, particle, energy)
     b, m = pot.b, particle.m
     if kind == "transmitted":
         pref = cmath.exp(2j * b * k.mu * x)

@@ -12,22 +12,26 @@ from hypothesis import strategies as st
 from dkpscatter import (
     BoundaryEnergyError,
     ChannelClosedError,
+    DkpScatterError,
     EvanescentIncidentError,
     InvalidParameterError,
     Particle,
     PoleError,
     Potential,
+    RangeError,
     Region,
     StepRT,
-    boundary_eps,
+    asymptotic_wavefunction,
     classify_region,
     connection_coefficients,
     critical_energies,
     currents,
     hypergeometric_parameters,
     kinematics,
+    numeric_rt,
     scattering_coefficients,
     step_rt,
+    wavefunction,
 )
 
 
@@ -129,18 +133,53 @@ class TestRegions:
         assert classify_region(pot, particle, 0.0) is Region.BOUNDARY
         assert classify_region(pot, particle, 2.0) is Region.I
 
-    def test_guard_width_from_environment(self, pot, particle, monkeypatch):
-        monkeypatch.setenv("DKP_EPS_BOUNDARY", "0.5")
-        assert boundary_eps() == 0.5
-        assert classify_region(pot, particle, 4.3) is Region.BOUNDARY
-        monkeypatch.delenv("DKP_EPS_BOUNDARY")
-        assert classify_region(pot, particle, 4.3) is Region.II
 
-    @pytest.mark.parametrize("raw", ["abc", "-1e-3", "0", "1.5", "inf"])
-    def test_invalid_guard_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv("DKP_EPS_BOUNDARY", raw)
-        with pytest.raises(InvalidParameterError):
-            boundary_eps()
+def _threshold_band(a, m, energy):
+    """Band by direct comparison with the thresholds: the 1e-9 guard, then
+    (E +- a)^2 > m^2 for an open channel and the sorted thresholds to tell
+    I, III and V apart."""
+    crits = sorted((-a - m, -a + m, a - m, a + m))
+    if any(abs(energy - ec) <= 1e-9 for ec in crits):
+        return Region.BOUNDARY
+    nu_open = (energy + a) ** 2 > m * m
+    mu_open = (energy - a) ** 2 > m * m
+    if nu_open and mu_open:
+        if energy > crits[-1]:
+            return Region.I
+        if energy < crits[0]:
+            return Region.V
+        return Region.III
+    if nu_open:
+        return Region.II
+    if mu_open:
+        return Region.IV
+    return Region.BOUNDARY
+
+
+class TestBandRule:
+    @settings(max_examples=1500, deadline=None, derandomize=True)
+    @given(log_m=st.floats(-3.0, 3.0), log_ratio=st.floats(-3.0, 8.0),
+           a_sign=st.sampled_from([1.0, -1.0, 0.0]), log_b=st.floats(-2.0, 2.0),
+           threshold=st.integers(0, 3),
+           place=st.sampled_from(["on", "near", "anywhere"]),
+           log_offset=st.floats(-12.0, -6.0), offset_sign=st.sampled_from([1.0, -1.0]),
+           frac=st.floats(-1.5, 1.5))
+    def test_matches_threshold_comparison(self, log_m, log_ratio, a_sign, log_b,
+                                          threshold, place, log_offset,
+                                          offset_sign, frac):
+        # |a|/m from 1e-3 (the evanescent gap) to 1e8, either sign or a = 0;
+        # energies on a threshold, 1e-12 to 1e-6 off one, or across all bands
+        m = 10.0 ** log_m
+        a = a_sign * m * 10.0 ** log_ratio
+        ec = critical_energies(Potential(a, 1.0), Particle(m))[threshold]
+        if place == "on":
+            energy = ec
+        elif place == "near":
+            energy = ec + offset_sign * 10.0 ** log_offset
+        else:
+            energy = frac * (abs(a) + m)
+        pot, particle = Potential(a, 10.0 ** log_b), Particle(m)
+        assert classify_region(pot, particle, energy) is _threshold_band(a, m, energy)
 
 
 class TestHypergeometricParameters:
@@ -165,13 +204,6 @@ class TestHypergeometricParameters:
 
 
 class TestConnectionCoefficients:
-    def test_subdominant_ratios(self, pot, particle):
-        hp_k = kinematics(pot, particle, 7.0)
-        hp = hypergeometric_parameters(hp_k)
-        cc = connection_coefficients(hp_k)
-        assert abs(cc.B / cc.A - hp.b1 / hp.c1) <= 1e-12 * abs(hp.b1 / hp.c1)
-        assert abs(cc.D / cc.C - hp.a2 / hp.c2) <= 1e-12 * abs(hp.a2 / hp.c2)
-
     def test_free_case_exact(self, particle):
         # a = 0: the coefficient products cancel term by term, so A and C
         # must come out bitwise exact, not merely close
@@ -327,6 +359,59 @@ class TestExtremeParameters:
             assert res.R > 1.0 or (res.R == 1.0 and -res.T <= 2.0 ** -52)
         else:
             assert 0.0 <= res.R < 1.0
+
+
+ENTRY_POINTS = {
+    "scattering_coefficients": scattering_coefficients,
+    "classify_region": classify_region,
+    "currents": currents,
+    "numeric_rt": numeric_rt,
+    "wavefunction": lambda pot, par, e: wavefunction(0.1, "incident", pot, par, e),
+    "asymptotic_wavefunction":
+        lambda pot, par, e: asymptotic_wavefunction(0.1, "reflected", pot, par, e),
+}
+
+
+class TestOutOfRangeInputs:
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("a,b,energy,error", [
+        (5.0, 3.0, math.inf, InvalidParameterError),
+        (5.0, 3.0, -math.inf, InvalidParameterError),
+        (5.0, 3.0, math.nan, InvalidParameterError),
+        (5.0, 3.0, 1e200, RangeError),       # (E + a)^2 overflows
+        (1e155, 1.0, 0.0, RangeError),       # (E + a)^2 and a^2 overflow
+        (5.0, 1e300, 7.0, RangeError),       # b^2 overflows, so lam does
+        (1e-300, 1e-200, 2.0, RangeError),   # b^2 underflows
+    ])
+    def test_typed_error(self, entry, a, b, energy, error):
+        with pytest.raises(error):
+            ENTRY_POINTS[entry](Potential(a, b), Particle(1.0), energy)
+
+    def test_underflowing_rt_terms(self):
+        # band III at E = 0 with nu = -mu ~ 1e-150 and 1 - lam ~ 1e-300:
+        # every term of R and T underflows
+        with pytest.raises(RangeError):
+            scattering_coefficients(Potential(3.0, 1e150), Particle(1.0), 0.0)
+
+    @settings(max_examples=1500, deadline=None, derandomize=True)
+    @given(log_a=st.floats(-300.0, 300.0), log_b=st.floats(-300.0, 300.0),
+           log_m=st.floats(-300.0, 300.0), log_e=st.floats(-300.0, 300.0),
+           a_sign=st.sampled_from([1.0, -1.0]), e_sign=st.sampled_from([1.0, -1.0]))
+    def test_finite_and_unitary_or_typed_error(self, log_a, log_b, log_m, log_e,
+                                               a_sign, e_sign):
+        pot = Potential(a_sign * 10.0 ** log_a, 10.0 ** log_b)
+        particle, energy = Particle(10.0 ** log_m), e_sign * 10.0 ** log_e
+        try:
+            res = scattering_coefficients(pot, particle, energy)
+        except DkpScatterError:
+            pass
+        else:
+            assert math.isfinite(res.R) and math.isfinite(res.T)
+            assert abs(res.R + res.T - 1.0) <= 1e-12 * max(1.0, res.R)
+        try:
+            classify_region(pot, particle, energy)
+        except DkpScatterError:
+            pass
 
 
 class TestCurrents:
