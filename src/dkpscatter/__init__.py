@@ -27,7 +27,7 @@ from .errors import (
     PoleError,
     RangeError,
 )
-from .oracle import IntegrationSettings, NumericRT, numeric_rt
+from .oracle import NumericRT, numeric_rt
 from .scattering import (
     BOUNDARY_EPS,
     ConnectionCoefficients,
@@ -111,7 +111,6 @@ __all__ = [
     "asymptotic_wavefunction",
     "component_residuals",
     # oracle
-    "IntegrationSettings",
     "NumericRT",
     "numeric_rt",
 ]

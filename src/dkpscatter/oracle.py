@@ -8,25 +8,28 @@ no Gamma or hypergeometric function."""
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChannelClosedError, InvalidParameterError, NonConvergenceError
+from .errors import ChannelClosedError, NonConvergenceError
 from .scattering import Particle, Potential, Region, _band
 
-__all__ = ["IntegrationSettings", "NumericRT", "numeric_rt"]
+__all__ = ["NumericRT", "numeric_rt"]
 
-# b * x_right must reach the flat tail: tanh >= 1 - 1e-12 needs b x >= 14.163
-_DEFAULT_SPAN = 14.5
-_FLATNESS = 1.0 - 1e-12
+# The window is [-14.5/b, 14.5/b]: tanh(14.5) >= 1 - 1e-12, so both walls sit
+# on the flat tails of the step.
+_SPAN = 14.5
 
 # Slice count of the first pass, and slices built and reduced at a time; the
 # batch bounds peak memory whatever the slice count.
 _FIRST_SLICES = 64
 _BATCH = 1024
+# Two successive passes agree when R and T each differ by at most
+# _RT_TOL max(1, |R|, |T|); no pass may take more than _MAX_SLICES slices.
+_RT_TOL = 1e-11
+_MAX_SLICES = 524_288
 # Gauss points sit at the slice midpoint +- sqrt(3)/6 h; the commutator term
 # of the 4th-order Magnus exponent carries sqrt(3)/12 h^2.
 _GAUSS = math.sqrt(3.0) / 6.0
@@ -34,47 +37,15 @@ _COMMUTATOR = math.sqrt(3.0) / 12.0
 
 
 @dataclass(frozen=True)
-class IntegrationSettings:
-    """Propagator controls.
-
-    The slice count doubles until two successive passes agree in psi and
-    dpsi to abs_tol + rel_tol |y|; max_steps caps the slices of one pass.
-    Tolerances must lie in (0, 1e-4]; the window edge x_right (defaulting to
-    14.5/b) must satisfy tanh(b x_right) >= 1 - 1e-12 so the walls sit on the
-    flat tails of the step.
-    """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-10
-    max_steps: int = 1_000_000
-    x_right: float | None = None
-
-    def __post_init__(self) -> None:
-        for name, tol in (("rel_tol", self.rel_tol), ("abs_tol", self.abs_tol)):
-            if not (isinstance(tol, float) and 0.0 < tol <= 1e-4):
-                raise InvalidParameterError(
-                    f"{name} must lie in (0, 1e-4], got {tol}")
-        if not (isinstance(self.max_steps, int) and self.max_steps > 0):
-            raise InvalidParameterError("max_steps must be a positive integer")
-        if self.x_right is not None and not (
-                math.isfinite(self.x_right) and self.x_right > 0):
-            raise InvalidParameterError("x_right must be positive and finite")
-
-    def window(self, pot: Potential) -> tuple[float, float]:
-        """(x_left, x_right) for this potential, flatness-checked."""
-        xr = self.x_right if self.x_right is not None else _DEFAULT_SPAN / pot.b
-        if math.tanh(pot.b * xr) < _FLATNESS:
-            raise InvalidParameterError(
-                f"x_right={xr} leaves tanh(b x_right) below {_FLATNESS}")
-        return -xr, xr
-
-
-@dataclass(frozen=True)
 class NumericRT:
+    """R and T by integration; steps counts the slices of every pass, and
+    error_estimate is max(|dR|, |dT|) between the last two passes."""
+
     R: float
     T: float
     unitarity_defect: float
     steps: int
+    error_estimate: float
 
 
 def _magnus_pass(a: float, b: float, m: float, energy: float,
@@ -119,64 +90,55 @@ def _magnus_pass(a: float, b: float, m: float, energy: float,
     return y
 
 
-def _integrate(pot: Potential, particle: Particle, energy: float,
-               settings: IntegrationSettings,
-               x_start: float, x_end: float,
-               psi0: complex, dpsi0: complex) -> tuple[complex, complex, int]:
-    """Propagate (psi, dpsi) from x_start to x_end.
-
-    Passes of _FIRST_SLICES, then twice as many slices, ... run until two
-    successive passes agree to abs_tol + rel_tol |y| in psi and dpsi alike;
-    the later one is returned with the total count of slices propagated.  A
-    pass whose state is not finite never counts.  Raises NonConvergence when
-    the next pass would take more than max_steps slices.
-    """
-    y0 = np.array([psi0, dpsi0], dtype=complex)
-    span = x_end - x_start
-    n, total, prev = _FIRST_SLICES, 0, None
-    while n <= settings.max_steps:
-        # an under-resolved pass may overflow; the finiteness check judges it
-        with np.errstate(over="ignore", invalid="ignore"):
-            y = _magnus_pass(pot.a, pot.b, particle.m, energy,
-                             x_start, span / n, n, y0)
-        total += n
-        finite = bool(np.isfinite(y).all())
-        if finite and prev is not None and np.all(
-                np.abs(y - prev) <= settings.abs_tol + settings.rel_tol * np.abs(y)):
-            return complex(y[0]), complex(y[1]), total
-        prev = y if finite else None
-        n *= 2
-    raise NonConvergenceError(
-        f"propagator did not converge within {settings.max_steps} slices "
-        f"per pass at E={energy}")
-
-
-def numeric_rt(pot: Potential, particle: Particle, energy: float,
-               settings: IntegrationSettings | None = None) -> NumericRT:
+def numeric_rt(pot: Potential, particle: Particle, energy: float) -> NumericRT:
     """R and T by direct integration, independent of the gamma-function route.
 
-    A pure transmitted plane wave is imposed at x_right and carried to
-    x_left, where the field is split into incident and reflected plane waves.
-    Requires both channels propagating (regions I, III, V).  Every slice has
-    determinant 1, so the unitarity defect stays at rounding level whatever
-    the tolerance; steps is the total count of slices over all passes.
+    A pure transmitted plane wave of unit amplitude is imposed at x = 14.5/b
+    and carried to x = -14.5/b, where the field is split into incident and
+    reflected plane waves.  Passes of 64, 128, ... slices, from the first
+    that advances the fastest wave by at most pi per slice, run until R and
+    T of two successive passes agree to 1e-11 max(1, |R|, |T|); a pass whose
+    R or T is not finite never counts, and NonConvergenceError is raised when
+    the next pass would take more than 524,288 slices.  Requires both
+    channels propagating (regions I, III, V).  Every slice has determinant 1,
+    so the unitarity defect stays at rounding level.
     """
-    if settings is None:
-        settings = IntegrationSettings()
     region, k = _band(pot, particle, energy)
     if region in (Region.II, Region.IV):
         raise ChannelClosedError(
             f"plane-wave decomposition needs both channels open, region {region.token}")
-    x_left, x_right = settings.window(pot)
+    x_right = _SPAN / pot.b
     k_inc = 2.0 * pot.b * k.nu.real
     k_trans = 2.0 * pot.b * k.mu.real
-    psi0 = cmath.exp(1j * k_trans * x_right)
-    psi, dpsi, steps = _integrate(pot, particle, energy, settings,
-                                  x_right, x_left, psi0, 1j * k_trans * psi0)
-    half_sum = 0.5 * (psi + dpsi / (1j * k_inc))
-    half_diff = 0.5 * (psi - dpsi / (1j * k_inc))
-    amp_in = half_sum / cmath.exp(1j * k_inc * x_left)
-    amp_ref = half_diff / cmath.exp(-1j * k_inc * x_left)
-    refl = abs(amp_ref / amp_in) ** 2
-    trans = (k_trans / k_inc) / abs(amp_in) ** 2
-    return NumericRT(refl, trans, refl + trans - 1.0, steps)
+    y0 = np.array([1.0, 1j * k_trans])
+    n, total, prev = _FIRST_SLICES, 0, None
+    # a pass whose slices advance the fastest wave by more than pi aliases,
+    # and two aliased passes can agree on a wrong R and T, so none is run;
+    # q, and with it the wave number, peaks on the tails
+    while n * math.pi < 2.0 * x_right * max(abs(k_inc), abs(k_trans)):
+        n *= 2
+    while n <= _MAX_SLICES:
+        # an under-resolved pass may overflow, or leave R and T out of range;
+        # the finiteness check judges it
+        with np.errstate(all="ignore"):
+            psi, dpsi = _magnus_pass(pot.a, pot.b, particle.m, energy,
+                                     x_right, -2.0 * x_right / n, n, y0)
+            # twice the incident and reflected amplitudes, up to unit phases
+            twice_in = psi + dpsi / (1j * k_inc)
+            twice_ref = psi - dpsi / (1j * k_inc)
+            refl = float(abs(twice_ref / twice_in) ** 2)
+            inv = 2.0 / abs(twice_in)
+            trans = float(k_trans / k_inc * inv * inv)
+        total += n
+        n *= 2
+        if not (math.isfinite(refl) and math.isfinite(trans)):
+            prev = None
+            continue
+        if prev is not None:
+            err = max(abs(refl - prev[0]), abs(trans - prev[1]))
+            if err <= _RT_TOL * max(1.0, abs(refl), abs(trans)):
+                return NumericRT(refl, trans, refl + trans - 1.0, total, err)
+        prev = refl, trans
+    raise NonConvergenceError(
+        f"R and T did not converge within {_MAX_SLICES} slices per pass "
+        f"at E={energy}")

@@ -162,8 +162,11 @@ def _half_wavenumber(excess: float, scale: float) -> complex:
 
 def kinematics(pot: Potential, particle: Particle, energy: float) -> KinematicParams:
     """nu, mu, lam for the given configuration.  Purely algebraic; no
-    boundary guard is applied here."""
+    boundary guard is applied here.  Raises RangeError when b*b underflows,
+    since lam needs b*b - 4a*a, which then loses its digits."""
     a, b, m = pot.a, pot.b, particle.m
+    if b * b < sys.float_info.min:
+        raise RangeError(f"b*b underflows at b={b}")
     e_plus = energy + a
     e_minus = energy - a
     # (e - m)(e + m) keeps its digits near a threshold, where e*e - m*m cancels
@@ -192,8 +195,7 @@ def _band(pot: Potential, particle: Particle,
     if not math.isfinite(energy):
         raise InvalidParameterError(f"energy must be finite, got {energy}")
     k = kinematics(pot, particle, energy)
-    # lam needs b*b - 4a*a, which loses its digits once b*b underflows
-    if not all(map(cmath.isfinite, k)) or pot.b * pot.b < sys.float_info.min:
+    if not all(map(cmath.isfinite, k)):
         raise RangeError(
             f"kinematics out of floating-point range at E={energy}, "
             f"a={pot.a}, b={pot.b}, m={particle.m}")
@@ -346,14 +348,23 @@ def currents(pot: Potential, particle: Particle, energy: float) -> Currents:
     """Conserved-current fluxes of the three asymptotic waves:
     j_inc = 6|A|^2 b nu / m, j_ref = -6|C|^2 b nu / m, j_trans = 6 b mu / m
     (zero when the transmitted channel is evanescent).  Requires a
-    propagating incident channel."""
+    propagating incident channel.  Raises RangeError where |A|^2 leaves the
+    normal floating-point range or a flux overflows: an underflowing |A|^2
+    has lost the digits that balance the fluxes."""
     k = _incident_kinematics(pot, particle, energy)
     cc = connection_coefficients(k)
     b_over_m = pot.b / particle.m
-    j_inc = 6.0 * abs(cc.A) ** 2 * b_over_m * k.nu.real
-    j_ref = -6.0 * abs(cc.C) ** 2 * b_over_m * k.nu.real
+    # products, not ** 2, which raises OverflowError instead of giving inf
+    a_sq = abs(cc.A) * abs(cc.A)
+    j_inc = 6.0 * a_sq * b_over_m * k.nu.real
+    j_ref = -6.0 * abs(cc.C) * abs(cc.C) * b_over_m * k.nu.real
     j_trans = 6.0 * b_over_m * k.mu.real if k.mu.imag == 0.0 else 0.0
-    return Currents(j_inc, j_ref, j_trans)
+    res = Currents(j_inc, j_ref, j_trans)
+    if not (a_sq >= sys.float_info.min and all(map(math.isfinite, res))):
+        raise RangeError(
+            f"currents out of floating-point range at E={energy}, "
+            f"|A|^2={a_sq}")
+    return res
 
 
 def step_rt(a: float, m: float, energy: float) -> StepRT:

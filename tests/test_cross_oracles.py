@@ -18,7 +18,7 @@ from dkpscatter import (
 )
 
 mpmath = pytest.importorskip("mpmath")
-scipy_integrate = pytest.importorskip("scipy.integrate")
+solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
 
 
 POT = Potential(a=5.0, b=3.0)
@@ -65,7 +65,7 @@ def test_numeric_rt_against_scipy(energy):
         return [y[1], -(w * w - m * m) * y[0]]
 
     psi0 = cmath.exp(1j * k_trans * xr)
-    sol = scipy_integrate.solve_ivp(
+    sol = solve_ivp(
         rhs, (xr, -xr), [psi0, 1j * k_trans * psi0],
         method="DOP853", rtol=1e-12, atol=1e-12)
     assert sol.success

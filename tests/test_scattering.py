@@ -393,6 +393,21 @@ class TestOutOfRangeInputs:
         with pytest.raises(RangeError):
             scattering_coefficients(Potential(3.0, 1e150), Particle(1.0), 0.0)
 
+    @pytest.mark.parametrize("a,b,energy", [
+        (3.0, 1e150, 0.0),    # |A|^2 underflows: the incident flux reads 0
+        (3.2, 0.002, -1.6),   # |T| ~ 5e-312, so |A|^2 overflows
+    ])
+    def test_currents_out_of_range(self, a, b, energy):
+        with pytest.raises(RangeError):
+            currents(Potential(a, b), Particle(1.0), energy)
+
+    def test_kinematics_underflowing_b_squared(self):
+        with pytest.raises(RangeError):
+            kinematics(Potential(0.0, 1e-160), Particle(1.0), 2.0)
+        # the smallest b whose square is still normal keeps its lam
+        k = kinematics(Potential(0.0, 1.5e-154), Particle(1.0), 2.0)
+        assert k.lam == 1.0
+
     @settings(max_examples=1500, deadline=None, derandomize=True)
     @given(log_a=st.floats(-300.0, 300.0), log_b=st.floats(-300.0, 300.0),
            log_m=st.floats(-300.0, 300.0), log_e=st.floats(-300.0, 300.0),
