@@ -54,6 +54,7 @@ from .wavefield import (
     Kind,
     asymptotic_wavefunction,
     component_residuals,
+    wave_profile,
     wavefunction,
 )
 
@@ -108,6 +109,7 @@ __all__ = [
     "Kind",
     "ComponentResiduals",
     "wavefunction",
+    "wave_profile",
     "asymptotic_wavefunction",
     "component_residuals",
     # oracle

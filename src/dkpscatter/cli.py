@@ -30,7 +30,7 @@ from .scattering import (
     scattering_coefficients,
     step_rt,
 )
-from .wavefield import Kind, component_residuals, wavefunction
+from .wavefield import Kind, component_residuals, wave_profile
 
 __all__ = ["main"]
 
@@ -145,10 +145,10 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
         raise DkpScatterError("wavefunction needs at least 2 samples")
     if not args.xmin < args.xmax:
         raise DkpScatterError("wavefunction needs xmin < xmax")
+    xs = np.linspace(args.xmin, args.xmax, args.samples).tolist()
+    trips = wave_profile(xs, args.kind, pot, par, args.E)
     rows = ["x,re_psi,im_psi,re_phi,im_phi,re_theta,im_theta"]
-    for x in np.linspace(args.xmin, args.xmax, args.samples):
-        x = float(x)
-        trip = wavefunction(x, args.kind, pot, par, args.E)
+    for x, trip in zip(xs, trips):
         rows.append(",".join((
             _csv_float(x),
             _csv_float(trip.psi.real), _csv_float(trip.psi.imag),

@@ -12,6 +12,7 @@ from .errors import (
     IllConditionedError,
     InvalidParameterError,
     PoleError,
+    RangeError,
 )
 
 __all__ = ["log_gamma", "hyp2f1"]
@@ -55,7 +56,8 @@ def hyp2f1(a: complex, b: complex, c: complex, z: float) -> complex:
 
     Raises IllConditionedError when cancellation, within a series or between
     the two inversion terms, would leave fewer than about ten correct digits
-    (a cancellation figure above MAX_CANCELLATION).
+    (a cancellation figure above MAX_CANCELLATION), and RangeError when the
+    value overflows.
     """
     a, b, c = complex(a), complex(b), complex(c)
     z = float(z)
@@ -81,7 +83,9 @@ def hyp2f1(a: complex, b: complex, c: complex, z: float) -> complex:
                 value += u
                 spread += abs(u) * cond
         cond = spread / abs(value) if value else math.inf
-    if cond > MAX_CANCELLATION:
+    if not cmath.isfinite(value):
+        raise RangeError(f"hyp2f1({a}, {b}, {c}, {z}) overflows")
+    if not cond <= MAX_CANCELLATION:  # a NaN figure raises too
         raise IllConditionedError(
             f"hyp2f1({a}, {b}, {c}, {z}) loses digits to cancellation "
             f"(figure {cond:.1e} > {MAX_CANCELLATION:.0e})")

@@ -6,14 +6,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Literal, NamedTuple, get_args
+from typing import Iterable, Literal, NamedTuple, get_args
 
 import numpy as np
 
 from .algebra import SpinorTriple
 from .errors import InvalidParameterError, RangeError
 from .scattering import (
-    KinematicParams,
     Particle,
     Potential,
     _incident_kinematics,
@@ -26,6 +25,7 @@ __all__ = [
     "Kind",
     "ComponentResiduals",
     "wavefunction",
+    "wave_profile",
     "asymptotic_wavefunction",
     "component_residuals",
 ]
@@ -44,62 +44,74 @@ class ComponentResiduals(NamedTuple):
     r_kg: float
 
 
-def _check_kind(kind: str) -> str:
+class _Wave(NamedTuple):
+    """One wave, amp e^{2ibkx} (1+u)^lam F(pa, pb; pc; -u) with
+    u = e^{2 side b x}; its plane-wave limit amp e^{2ibkx} has phi/psi = w/m."""
+
+    amp: complex
+    side: float
+    k: complex
+    pa: complex
+    pb: complex
+    pc: complex
+    lam: complex
+    w: float
+
+
+def _wave(kind: str, xs: Iterable[float], pot: Potential, particle: Particle,
+          energy: float) -> _Wave:
+    """The wave's record, after checking the kind, then every x of xs (finite,
+    |2bx| <= 700), then the energy."""
     if kind not in _KINDS:
         raise InvalidParameterError(
             f"kind must be one of {_KINDS}, got {kind!r}")
-    return kind
-
-
-def _check_window(x: float, pot: Potential) -> None:
-    if not math.isfinite(x):
-        raise InvalidParameterError("x must be finite")
-    if abs(2.0 * pot.b * x) > _EXPONENT_CAP:
-        raise RangeError(
-            f"|2bx| = {abs(2 * pot.b * x)} exceeds {_EXPONENT_CAP}")
-
-
-def _scalar_parts(kind: str, x: float, pot: Potential, energy: float,
-                  k: KinematicParams) -> tuple[complex, complex]:
-    """(psi, dpsi/dx) of the requested wave at x."""
-    b = pot.b
+    for x in xs:
+        if not math.isfinite(x):
+            raise InvalidParameterError("x must be finite")
+        if abs(2.0 * pot.b * x) > _EXPONENT_CAP:
+            raise RangeError(
+                f"|2bx| = {abs(2 * pot.b * x)} exceeds {_EXPONENT_CAP}")
+    k = _incident_kinematics(pot, particle, energy)
     hp = hypergeometric_parameters(k)
-    lam = k.lam
     if kind == "transmitted":
-        t = math.exp(-2.0 * b * x)
-        at, bt, ct = hp.a1, hp.b2, 1.0 + hp.a1 - hp.b1
-        pref = cmath.exp(2j * b * k.mu * x + lam * math.log1p(t))
-        f0 = hyp2f1(at, bt, ct, -t)
-        f1 = hyp2f1(at + 1, bt + 1, ct + 1, -t)
-        psi = pref * f0
-        bracket = (1j * k.mu - lam * (t / (1.0 + t))) * f0 \
-            + (at * bt / ct) * t * f1
-        return psi, 2.0 * b * pref * bracket
-
+        return _Wave(1.0, -1.0, k.mu, hp.a1, hp.b2, 1.0 + hp.a1 - hp.b1,
+                     k.lam, energy - pot.a)
     coeffs = connection_coefficients(k)
-    s = math.exp(2.0 * b * x)
-    frac = s / (1.0 + s)
     if kind == "incident":
-        amp, sgn, (pa, pb, pc) = coeffs.A, 1.0, (hp.a1, hp.b1, hp.c1)
-    else:
-        amp, sgn, (pa, pb, pc) = coeffs.C, -1.0, (hp.a2, hp.b2, hp.c2)
-    pref = amp * cmath.exp(sgn * 2j * b * k.nu * x + lam * math.log1p(s))
-    f0 = hyp2f1(pa, pb, pc, -s)
-    f1 = hyp2f1(pa + 1, pb + 1, pc + 1, -s)
-    psi = pref * f0
-    bracket = (sgn * 1j * k.nu + lam * frac) * f0 - (pa * pb / pc) * s * f1
-    return psi, 2.0 * b * pref * bracket
+        return _Wave(coeffs.A, 1.0, k.nu, hp.a1, hp.b1, hp.c1, k.lam,
+                     energy + pot.a)
+    return _Wave(coeffs.C, 1.0, -k.nu, hp.a2, hp.b2, hp.c2, k.lam,
+                 energy + pot.a)
 
 
-def _triple(psi: complex, dpsi: complex, x: float, pot: Potential,
-            particle: Particle, energy: float,
+def _triple(psi: complex, dpsi: complex, w: float, m: float,
             polarization: np.ndarray | None) -> SpinorTriple:
-    m = particle.m
-    phi = (energy - pot.value(x)) * psi / m
-    theta = 1j * dpsi / m
-    if polarization is None:
-        return SpinorTriple(psi, phi, theta)
-    return SpinorTriple(psi, phi, theta, polarization)
+    # phi = w psi / m and theta = (i/m) dpsi/dx
+    return SpinorTriple(psi, w * psi / m, 1j * dpsi / m,
+                        (1.0, 0.0, 0.0) if polarization is None else polarization)
+
+
+def wave_profile(xs: Iterable[float], kind: Kind, pot: Potential,
+                 particle: Particle, energy: float,
+                 polarization: np.ndarray | None = None) -> list[SpinorTriple]:
+    """:func:`wavefunction` at every x of xs, with the wave built once.
+
+    Checks the kind, then every x, then the energy, so an invalid x raises
+    before any energy error."""
+    xs = [float(x) for x in xs]
+    amp, side, k, pa, pb, pc, lam, _ = _wave(kind, xs, pot, particle, energy)
+    b, m = pot.b, particle.m
+    out = []
+    for x in xs:
+        u = math.exp(2.0 * side * b * x)
+        pref = amp * cmath.exp(2j * b * k * x + lam * math.log1p(u))
+        f0 = hyp2f1(pa, pb, pc, -u)
+        f1 = hyp2f1(pa + 1, pb + 1, pc + 1, -u)
+        bracket = (1j * k + side * lam * (u / (1.0 + u))) * f0 \
+            - side * (pa * pb / pc) * u * f1
+        out.append(_triple(pref * f0, 2.0 * b * pref * bracket,
+                           energy - pot.value(x), m, polarization))
+    return out
 
 
 def wavefunction(x: float, kind: Kind, pot: Potential, particle: Particle,
@@ -112,11 +124,7 @@ def wavefunction(x: float, kind: Kind, pot: Potential, particle: Particle,
     difference quotient.  Valid wherever the incident channel propagates and
     |2bx| <= 700.
     """
-    _check_kind(kind)
-    _check_window(x, pot)
-    k = _incident_kinematics(pot, particle, energy)
-    psi, dpsi = _scalar_parts(kind, x, pot, energy, k)
-    return _triple(psi, dpsi, x, pot, particle, energy, polarization)
+    return wave_profile((x,), kind, pot, particle, energy, polarization)[0]
 
 
 def asymptotic_wavefunction(x: float, kind: Kind, pot: Potential,
@@ -126,29 +134,10 @@ def asymptotic_wavefunction(x: float, kind: Kind, pot: Potential,
     amplitude: A e^{2ib nu x} (incident), C e^{-2ib nu x} (reflected),
     e^{2ib mu x} (transmitted).  The middle component carries (E -+ a)/m on
     the incident/transmitted side respectively."""
-    _check_kind(kind)
-    _check_window(x, pot)
-    k = _incident_kinematics(pot, particle, energy)
-    b, m = pot.b, particle.m
-    if kind == "transmitted":
-        pref = cmath.exp(2j * b * k.mu * x)
-        w = energy - pot.a
-        kx = 2.0 * b * k.mu
-    else:
-        coeffs = connection_coefficients(k)
-        w = energy + pot.a
-        if kind == "incident":
-            pref = coeffs.A * cmath.exp(2j * b * k.nu * x)
-            kx = 2.0 * b * k.nu
-        else:
-            pref = coeffs.C * cmath.exp(-2j * b * k.nu * x)
-            kx = -2.0 * b * k.nu
-    psi = pref
-    phi = (w / m) * pref
-    theta = -(kx / m) * pref  # (i/m) d/dx of a plane wave
-    if polarization is None:
-        return SpinorTriple(psi, phi, theta)
-    return SpinorTriple(psi, phi, theta, polarization)
+    wave = _wave(kind, (x,), pot, particle, energy)
+    b = pot.b
+    psi = wave.amp * cmath.exp(2j * b * wave.k * x)
+    return _triple(psi, 2j * b * wave.k * psi, wave.w, particle.m, polarization)
 
 
 def component_residuals(x: float, kind: Kind, pot: Potential,
@@ -165,9 +154,8 @@ def component_residuals(x: float, kind: Kind, pot: Potential,
     """
     if not (h > 0 and math.isfinite(h)):
         raise InvalidParameterError(f"h must be positive and finite, got {h}")
-    mid = wavefunction(x, kind, pot, particle, energy)
-    plus = wavefunction(x + h, kind, pot, particle, energy)
-    minus = wavefunction(x - h, kind, pot, particle, energy)
+    minus, mid, plus = wave_profile((x - h, x, x + h), kind, pot, particle,
+                                    energy)
     m = particle.m
     w = energy - pot.value(x)
     r_phi = abs(mid.phi - w * mid.psi / m)

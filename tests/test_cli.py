@@ -131,10 +131,11 @@ class TestRegions:
 
 
 class TestWavefunctionCommand:
-    def test_rows_match_library(self, capsys):
+    @pytest.mark.parametrize("kind", ["incident", "reflected", "transmitted"])
+    def test_rows_match_library(self, capsys, kind):
         args = ["wavefunction", "--a", "5", "--b", "3", "--m", "1", "--E", "7",
                 "--xmin", "-1", "--xmax", "1", "--samples", "5",
-                "--kind", "transmitted"]
+                "--kind", kind]
         assert main(args) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "x,re_psi,im_psi,re_phi,im_phi,re_theta,im_theta"
@@ -142,7 +143,7 @@ class TestWavefunctionCommand:
         pot, par = Potential(5.0, 3.0), Particle(1.0)
         for line in lines[1:]:
             f = [float(v) for v in line.split(",")]
-            trip = wavefunction(f[0], "transmitted", pot, par, 7.0)
+            trip = wavefunction(f[0], kind, pot, par, 7.0)
             assert complex(f[1], f[2]) == trip.psi
             assert complex(f[3], f[4]) == trip.phi
             assert complex(f[5], f[6]) == trip.theta

@@ -15,11 +15,13 @@ from dkpscatter import (
     Particle,
     PoleError,
     Potential,
+    RangeError,
     hyp2f1,
     hypergeometric_parameters,
     kinematics,
     log_gamma,
 )
+from dkpscatter import _kernels
 from dkpscatter._kernels import gauss_series, pfaff_series
 
 # Reference values frozen from 40-digit arbitrary-precision evaluation.
@@ -197,6 +199,21 @@ class TestHyp2f1:
         # a - b 1e-9 from an integer: the two inversion terms are 1e9 and cancel
         with pytest.raises(IllConditionedError):
             hyp2f1(1.5 + 1e-9, 0.5, 2.3, -2.0)
+
+    def test_overflow_raises(self):
+        # incident-wave parameters in deep tunnelling, (a, b, m, E) =
+        # (3.2, 0.002, 1, -1.6): both inversion terms overflow and their sum
+        # is nan+infj, whose figure is NaN
+        with pytest.raises(RangeError):
+            hyp2f1(0.5 + 3085.9192812254687j, 0.5 + 738.5803623643678j,
+                   1 + 624.4997998398399j, -1.0004000800106678)
+
+    def test_nan_figure_raises(self, monkeypatch):
+        # a finite value whose figure is NaN must not pass the guard
+        monkeypatch.setattr(_kernels, "gauss_series",
+                            lambda a, b, c, z: (1.0 + 0.0j, math.nan))
+        with pytest.raises(IllConditionedError):
+            hyp2f1(0.5, 0.5, 1.5, 0.25)
 
     def test_shifted_parameters(self):
         # derivative-shifted parameter sets stay on the same dispatch

@@ -22,8 +22,10 @@ from dkpscatter import (
     component_residuals,
     connection_coefficients,
     kinematics,
+    wave_profile,
     wavefunction,
 )
+from dkpscatter import scattering, wavefield
 from dkpscatter.oracle import _magnus_pass
 
 # psi spot values frozen from 40-digit evaluation of the hypergeometric forms
@@ -189,6 +191,74 @@ class TestGuards:
         assert tuple(turned.polarization) == (0.0, 1.0, 0.0)
 
 
+# at b = 3 these reach the series, Pfaff and inversion ranges of hyp2f1 on
+# both sides of x = 0 (u = e^{6x} for the incident and reflected waves,
+# e^{-6x} for the transmitted one)
+PROFILE_XS = (-1.0, -0.3, -0.1, -0.05, 0.0, 0.05, 0.1, 0.3, 1.0)
+KINDS = ("incident", "reflected", "transmitted")
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestWaveProfile:
+    @pytest.mark.parametrize("energy", [7.0, 2.5])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_wavefunction(self, pot, particle, kind, energy):
+        profile = wave_profile(PROFILE_XS, kind, pot, particle, energy)
+        assert len(profile) == len(PROFILE_XS)
+        for x, got in zip(PROFILE_XS, profile):
+            want = wavefunction(x, kind, pot, particle, energy)
+            assert (got.psi, got.phi, got.theta) == (want.psi, want.phi, want.theta)
+
+    @pytest.mark.parametrize("kind", ["incident", "reflected"])
+    def test_one_build_per_call(self, monkeypatch, pot, particle, kind):
+        coeffs = _count_calls(monkeypatch, wavefield, "connection_coefficients")
+        bands = _count_calls(monkeypatch, scattering, "_band")
+        wave_profile(PROFILE_XS, kind, pot, particle, 7.0)
+        assert (len(coeffs), len(bands)) == (1, 1)
+        component_residuals(0.3, kind, pot, particle, 7.0, 1e-4)
+        assert (len(coeffs), len(bands)) == (2, 2)
+
+    @pytest.mark.parametrize("bad", [0, 4, 8])
+    def test_out_of_window_anywhere(self, pot, particle, bad):
+        xs = list(PROFILE_XS)
+        xs[bad] = 120.0
+        for kind in KINDS:
+            with pytest.raises(RangeError):
+                wave_profile(xs, kind, pot, particle, 7.0)
+        xs[bad] = math.nan
+        with pytest.raises(InvalidParameterError):
+            wave_profile(xs, "incident", pot, particle, 7.0)
+
+    @pytest.mark.parametrize("energy,error", [
+        (4.0, BoundaryEnergyError), (6.0 + 5e-10, BoundaryEnergyError),
+        (-5.0, EvanescentIncidentError)])
+    def test_energy_errors_match_wavefunction(self, pot, particle, energy, error):
+        for kind in KINDS:
+            with pytest.raises(error) as single:
+                wavefunction(0.3, kind, pot, particle, energy)
+            with pytest.raises(error) as many:
+                wave_profile(PROFILE_XS, kind, pot, particle, energy)
+            assert str(many.value) == str(single.value)
+
+    def test_error_order(self, pot, particle):
+        # the kind is checked first, then every x, then the energy
+        with pytest.raises(InvalidParameterError):
+            wave_profile((120.0,), "outgoing", pot, particle, 4.0)
+        with pytest.raises(RangeError):
+            wave_profile((0.0, 120.0), "incident", pot, particle, 4.0)
+
+
 def _mpmath_wave(kind, a, b, m, energy, x):
     """(psi, theta) of the wave at 40 digits: the hypergeometric forms with
     mp.loggamma amplitudes, and theta = (i/m) psi' by mp.diff."""
@@ -249,6 +319,14 @@ class TestConditioningGuard:
         energy = 5.0 + math.sqrt(0.96) + 1e-7
         with pytest.raises(IllConditionedError):
             wavefunction(1.0, kind, Potential(5.0, 0.2), Particle(1.0), energy)
+
+    @pytest.mark.parametrize("kind", ["incident", "reflected"])
+    def test_deep_tunnelling_overflow_raises(self, kind):
+        # |T| ~ 5e-312 puts |A| near the overflow limit; the hyp2f1 sum
+        # overflows to nan+infj, which was returned as psi = nan+nanj
+        for x in (0.5, 1.0, 5.0):
+            with pytest.raises(RangeError):
+                wavefunction(x, kind, Potential(3.2, 0.002), Particle(1.0), -1.6)
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(log_a=st.floats(math.log(0.1), math.log(50.0)),
