@@ -1,18 +1,21 @@
-"""Scalar kernels behind the special functions: complex log Gamma, the Gauss
+"""Kernels behind the special functions: complex log Gamma, the Gauss
 hypergeometric series and its Pfaff map, and the log-domain Gamma ratio of the
 connection coefficients.
 
-Plain Python on complex scalars; failures raise the package's typed errors.
-The two series return their sum together with its cancellation figure
-max|term| / |sum|: the relative rounding error of the sum is about that figure
-times the unit roundoff, and :func:`dkpscatter.specfun.hyp2f1` refuses values
-whose figure is too large.
+Log Gamma and the Gamma ratio are plain Python on complex scalars; the two
+series run over an array of real arguments at once.  Failures raise the
+package's typed errors.  The series return their sums together with each
+sum's cancellation figure max|term| / |sum|: the relative rounding error of a
+sum is about that figure times the unit roundoff, and
+:func:`dkpscatter.specfun.hyp2f1` refuses values whose figure is too large.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+
+import numpy as np
 
 from .errors import NonConvergenceError, PoleError
 
@@ -30,6 +33,12 @@ _S8 = -3617.0 / 122400.0
 _HALF_LOG_TWO_PI = 0.9189385332046727
 
 MAX_SERIES_TERMS = 100_000
+
+# A series block is _BLOCK_TERMS terms of at most _BLOCK_WIDTH arguments, so the
+# working set stays fixed however many arguments a call has; MAX_SERIES_TERMS
+# is a whole number of blocks.
+_BLOCK_TERMS = 32
+_BLOCK_WIDTH = 256
 
 # Distance from a nonpositive integer within which Gamma counts as at a pole.
 POLE_TOL = 1e-14
@@ -66,43 +75,79 @@ def lgamma_c(z: complex) -> complex:
 
 
 def gauss_series(a: complex, b: complex, c: complex,
-                 z: float) -> tuple[complex, float]:
-    """Gauss hypergeometric series at real z, |z| < 1, and its cancellation
-    figure max|term| / |sum|.
+                 z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss hypergeometric series at every real z of an array, |z| < 1, and
+    each element's cancellation figure max|term| / |sum|.
 
-    Stops once ten consecutive terms each move the partial sum by less than
-    1e-15 relative; raises NonConvergenceError when MAX_SERIES_TERMS is hit
-    first.
+    Each element runs the scalar recurrence t_n = t_{n-1} (a+n)(b+n) /
+    ((c+n)(1+n)) z, _BLOCK_TERMS terms at a time as a cumulative product, over
+    at most _BLOCK_WIDTH elements at a time.  An element stops once ten
+    consecutive terms each move its partial sum by less than 1e-15 relative;
+    its result does not depend on the other elements.  Raises
+    NonConvergenceError, naming the first element still running when
+    MAX_SERIES_TERMS is hit.
     """
-    s = 1.0 + 0.0j
-    t = 1.0 + 0.0j
-    t_max = 1.0
-    quiet = 0
-    for n in range(MAX_SERIES_TERMS):
-        t = t * (a + n) * (b + n) / ((c + n) * (1.0 + n)) * z
-        s = s + t
-        t_abs = abs(t)
-        if t_abs > t_max:
-            t_max = t_abs
-        if t_abs <= 1e-15 * abs(s):
-            quiet += 1
-            if quiet >= 10:
-                return s, (t_max / abs(s) if s else math.inf)
-        else:
-            quiet = 0
+    z = np.asarray(z, dtype=float)
+    values = np.empty(z.shape, dtype=complex)
+    figures = np.empty(z.shape)
+    with np.errstate(all="ignore"):
+        for lo in range(0, z.size, _BLOCK_WIDTH):
+            chunk = slice(lo, lo + _BLOCK_WIDTH)
+            values[chunk], figures[chunk] = _series_block(a, b, c, z[chunk])
+    return values, figures
+
+
+def _series_block(a, b, c, z):
+    # live columns carry their last term, partial sum, largest |term| so far
+    # and the run of quiet terms that ends it
+    n = np.arange(_BLOCK_TERMS)
+    live = np.arange(z.size)
+    t = np.ones(z.size, dtype=complex)
+    s = t.copy()
+    t_max = np.ones(z.size)
+    quiet = np.zeros(z.size, dtype=int)
+    values = np.empty(z.size, dtype=complex)
+    figures = np.empty(z.size)
+    rows = n[:, None]
+    for n0 in range(0, MAX_SERIES_TERMS, _BLOCK_TERMS):
+        k = n + n0
+        step = (a + k) * (b + k) / ((c + k) * (1.0 + k))
+        terms = np.cumprod(np.concatenate((t[None], step[:, None] * z[live])),
+                           axis=0)[1:]
+        sums = np.cumsum(np.concatenate((s[None], terms)), axis=0)[1:]
+        t_abs = np.hypot(terms.real, terms.imag)
+        s_abs = np.hypot(sums.real, sums.imag)
+        t_maxes = np.maximum(t_max, np.maximum.accumulate(t_abs, axis=0))
+        # row of the last loud term, or where the carried quiet run began
+        last_loud = np.maximum.accumulate(
+            np.where(t_abs <= 1e-15 * s_abs, -1 - quiet, rows), axis=0)
+        runs = rows - last_loud
+        settled = runs >= 10
+        done = settled.any(axis=0)
+        cols = np.flatnonzero(done)
+        stop = settled.argmax(axis=0)[cols]
+        values[live[done]] = sums[stop, cols]
+        figures[live[done]] = t_maxes[stop, cols] / s_abs[stop, cols]
+        keep = ~done
+        live = live[keep]
+        if live.size == 0:
+            return values, figures
+        t, s = terms[-1, keep], sums[-1, keep]
+        t_max, quiet = t_maxes[-1, keep], runs[-1, keep]
     raise NonConvergenceError(
-        f"hyp2f1 series did not converge for ({a}, {b}, {c}, {z})")
+        f"hyp2f1 series did not converge for ({a}, {b}, {c}, {float(z[live[0]])})")
 
 
 def pfaff_series(a: complex, b: complex, c: complex,
-                 z: float) -> tuple[complex, float]:
-    """F(a,b;c;z) via the Pfaff map w = z/(z-1), for z in [-1, 0), and the
-    cancellation figure of the mapped series.
+                 z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F(a,b;c;z) via the Pfaff map w = z/(z-1), at every z of an array in
+    [-1, 0), and the cancellation figures of the mapped series.
 
-    The mapped argument lies in [0, 1/2], where the series converges fast.
+    The mapped arguments lie in [0, 1/2], where the series converges fast.
     """
+    z = np.asarray(z, dtype=float)
     s, cond = gauss_series(a, c - b, c, z / (z - 1.0))
-    return cmath.exp(-a * math.log(1.0 - z)) * s, cond
+    return np.exp(-a * np.log(1.0 - z)) * s, cond
 
 
 def _coeff_ratio(n1: complex, n2: complex, d1: complex, d2: complex) -> complex:

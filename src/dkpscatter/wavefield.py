@@ -19,7 +19,7 @@ from .scattering import (
     connection_coefficients,
     hypergeometric_parameters,
 )
-from .specfun import hyp2f1
+from .specfun import _hyp2f1_batch
 
 __all__ = [
     "Kind",
@@ -101,12 +101,18 @@ def wave_profile(xs: Iterable[float], kind: Kind, pot: Potential,
     xs = [float(x) for x in xs]
     amp, side, k, pa, pb, pc, lam, _ = _wave(kind, xs, pot, particle, energy)
     b, m = pot.b, particle.m
+    us = [math.exp(2.0 * side * b * x) for x in xs]
+    zs = -np.array(us, dtype=float)
+    f0s, failure0 = _hyp2f1_batch(pa, pb, pc, zs)
+    f1s, failure1 = _hyp2f1_batch(pa + 1, pb + 1, pc + 1, zs)
+    # raise as a loop over x would: the earliest x, and F before F1 at one x
+    failures = [(f[0], rank, f[1]) for rank, f in enumerate((failure0, failure1))
+                if f is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[:2])[2]
     out = []
-    for x in xs:
-        u = math.exp(2.0 * side * b * x)
+    for x, u, f0, f1 in zip(xs, us, f0s.tolist(), f1s.tolist()):
         pref = amp * cmath.exp(2j * b * k * x + lam * math.log1p(u))
-        f0 = hyp2f1(pa, pb, pc, -u)
-        f1 = hyp2f1(pa + 1, pb + 1, pc + 1, -u)
         bracket = (1j * k + side * lam * (u / (1.0 + u))) * f0 \
             - side * (pa * pb / pc) * u * f1
         out.append(_triple(pref * f0, 2.0 * b * pref * bracket,

@@ -9,6 +9,7 @@ import pytest
 
 from dkpscatter import (
     DegenerateParametersError,
+    DkpScatterError,
     IllConditionedError,
     InvalidParameterError,
     NonConvergenceError,
@@ -21,7 +22,7 @@ from dkpscatter import (
     kinematics,
     log_gamma,
 )
-from dkpscatter import _kernels
+from dkpscatter import _kernels, specfun
 from dkpscatter._kernels import gauss_series, pfaff_series
 
 # Reference values frozen from 40-digit arbitrary-precision evaluation.
@@ -141,8 +142,8 @@ class TestHyp2f1:
             if (c - a - b).real <= 0.05:
                 continue
             z = rng.uniform(-1.0, -0.5)
-            direct, _ = gauss_series(a, b, c, z)
-            mapped, _ = pfaff_series(a, b, c, z)
+            (direct,), _ = gauss_series(a, b, c, np.array([z]))
+            (mapped,), _ = pfaff_series(a, b, c, np.array([z]))
             assert abs(direct - mapped) <= 1e-9 * abs(direct)
             checked += 1
 
@@ -174,14 +175,14 @@ class TestHyp2f1:
 
     def test_cancellation_figure(self):
         # positive terms: the figure is max|term| / sum = 1 / F < 1
-        value, cond = gauss_series(1.0, 1.0, 2.0, 0.5)
+        (value,), (cond,) = gauss_series(1.0, 1.0, 2.0, np.array([0.5]))
         assert abs(value - 2.0 * math.log(2.0)) <= 1e-15
         assert cond == 1.0 / abs(value)
         # F(-20, 1; 1; 0.9) = 0.1^20: terms of up to 7e4 cancel
-        assert gauss_series(-20.0, 1.0, 1.0, 0.9)[1] > 1e15
+        assert gauss_series(-20.0, 1.0, 1.0, np.array([0.9]))[1][0] > 1e15
         # the Pfaff map carries the figure of its inner series
-        assert pfaff_series(0.5, 0.25, 2.0, -0.8)[1] == gauss_series(
-            0.5, 1.75, 2.0, -0.8 / (-0.8 - 1.0))[1]
+        assert pfaff_series(0.5, 0.25, 2.0, np.array([-0.8]))[1][0] == gauss_series(
+            0.5, 1.75, 2.0, np.array([-0.8 / (-0.8 - 1.0)]))[1][0]
 
     def test_series_cancellation_raises(self):
         with pytest.raises(IllConditionedError):
@@ -208,12 +209,42 @@ class TestHyp2f1:
             hyp2f1(0.5 + 3085.9192812254687j, 0.5 + 738.5803623643678j,
                    1 + 624.4997998398399j, -1.0004000800106678)
 
+    def test_inversion_factor_overflow_raises(self):
+        # (-z)^-a = 3^800.5 overflows; F itself is about 4^800 (Pfaff), past
+        # the double range, and the scalar cmath.exp raised a raw OverflowError
+        with pytest.raises(RangeError):
+            hyp2f1(-800.5 + 3j, 1.0, 1.5, -3.0)
+
     def test_nan_figure_raises(self, monkeypatch):
         # a finite value whose figure is NaN must not pass the guard
         monkeypatch.setattr(_kernels, "gauss_series",
-                            lambda a, b, c, z: (1.0 + 0.0j, math.nan))
+                            lambda a, b, c, z: (np.full(z.shape, 1.0 + 0.0j),
+                                                np.full(z.shape, math.nan)))
         with pytest.raises(IllConditionedError):
             hyp2f1(0.5, 0.5, 1.5, 0.25)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_batch_reports_first_failure(self, monkeypatch, seed):
+        # with a 64-term cap the series at z = 0.8, 0.95 (and at some z for
+        # the third set) stop converging; mixed with cancelling, degenerate and
+        # out-of-domain z, the batch must report the first z at which hyp2f1
+        # raises, with its error, and hyp2f1's values before it
+        monkeypatch.setattr(_kernels, "MAX_SERIES_TERMS", 64)
+        rng = np.random.default_rng(seed)
+        z = rng.choice([0.1, 0.8, 0.95, -0.3, -0.7, -1.0, -2.0, -5.0, 1.5], 12)
+        for a, b, c in ((-20.0, 1.0, 1.0), (1.5 + 1e-9, 0.5, 2.3),
+                        (2 + 8j, 1 - 8j, 1.5)):
+            values, failure = specfun._hyp2f1_batch(a, b, c, z)
+            want = None
+            for i, zi in enumerate(z):
+                try:
+                    value = hyp2f1(a, b, c, zi)
+                except DkpScatterError as exc:
+                    want = (i, type(exc), str(exc))
+                    break
+                assert values[i] == value
+            got = failure and (failure[0], type(failure[1]), str(failure[1]))
+            assert got == want
 
     def test_shifted_parameters(self):
         # derivative-shifted parameter sets stay on the same dispatch

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dkpscatter import (
     BoundaryEnergyError,
+    DegenerateParametersError,
     DkpScatterError,
     EvanescentIncidentError,
     IllConditionedError,
@@ -197,6 +198,39 @@ class TestGuards:
 PROFILE_XS = (-1.0, -0.3, -0.1, -0.05, 0.0, 0.05, 0.1, 0.3, 1.0)
 KINDS = ("incident", "reflected", "transmitted")
 
+# the errors of profiles that fail, pinned from the per-x evaluation: band II
+# at the degenerate 2|mu| = 1; an incident wave whose shifted F1 cancels from
+# x = 83 on; at b = 0.2, an incident wave whose F1 fails one x before its F,
+# and a reflected wave whose F and F1 fail at the same x
+BAND_TWO = (5.0, 0.2, 1.0, 5.0 + math.sqrt(0.96))
+BAND_TWO_XS = np.linspace(-10.0, 10.0, 200).tolist()
+WIDE_XS = np.linspace(-50.0, 50.0, 201).tolist()
+PROFILE_ERRORS = [
+    ("incident", BAND_TWO, BAND_TWO_XS, IllConditionedError,
+     "hyp2f1((1.000000000000003+52.33040670628998j), "
+     "(-3.219646771412954e-15+52.33040670628998j), (1+54.67081441278001j), "
+     "-0.31799213054688297) loses digits to cancellation (figure 1.1e+06 > 1e+06)"),
+    ("reflected", BAND_TWO, BAND_TWO_XS, DegenerateParametersError,
+     "hyp2f1 inversion needs nonintegral a-b, got (-1.0000000000000062+0j)"),
+    ("transmitted", BAND_TWO, BAND_TWO_XS, IllConditionedError,
+     "hyp2f1((1.000000000000003+52.33040670628998j), "
+     "(1.000000000000003-2.3404077064900335j), (2.000000000000006+0j), "
+     "-3.144731909812358) loses digits to cancellation (figure 1.2e+07 > 1e+06)"),
+    ("incident", (5.0, 3.0, 1.0, 7.0), [float(x) for x in range(101)],
+     IllConditionedError,
+     "hyp2f1((1.5+3.294266991616996j), (1.5+3.871617260806622j), "
+     "(2+3.986086914367133j), -1.8995555035181914e+216) loses digits to "
+     "cancellation (figure inf > 1e+06)"),
+    ("incident", (8.0, 0.2, 1.0, -1.6), WIDE_XS, IllConditionedError,
+     "hyp2f1((1.5+79.66979203175927j), (1.5+31.930918982639238j), "
+     "(2+31.60696125855822j), -0.20189651799465538) loses digits to "
+     "cancellation (figure 1.2e+06 > 1e+06)"),
+    ("reflected", (5.0, 0.2, 1.0, 5.5), WIDE_XS, IllConditionedError,
+     "hyp2f1((-1.6650635094610964-1.1356817005586173j), "
+     "(2.6650635094610964-1.1356817005586173j), (1-52.26136240091718j), "
+     "-1.2214027581601699) loses digits to cancellation (figure 1.0e+10 > 1e+06)"),
+]
+
 
 def _count_calls(monkeypatch, module, name):
     calls = []
@@ -257,6 +291,50 @@ class TestWaveProfile:
             wave_profile((120.0,), "outgoing", pot, particle, 4.0)
         with pytest.raises(RangeError):
             wave_profile((0.0, 120.0), "incident", pot, particle, 4.0)
+
+
+    @pytest.mark.parametrize("kind,params,xs,error,message", PROFILE_ERRORS)
+    def test_first_error_of_a_profile(self, kind, params, xs, error, message):
+        # the error a loop over x raises: the earliest x, F before F1 at one x
+        a, b, m, energy = params
+        with pytest.raises(error) as exc:
+            wave_profile(xs, kind, Potential(a, b), Particle(m), energy)
+        assert str(exc.value) == message
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(a=st.floats(2.0, 8.0), band=st.sampled_from(["I", "III"]),
+           frac=st.floats(0.0, 1.0), q=st.floats(1.0, 3.0),
+           kind=st.sampled_from(KINDS), order=st.randoms(use_true_random=False))
+    def test_batch_independent_at_branch_edges(self, a, band, frac, q, kind, order):
+        # u = 0.5, 1 and 2 are where hyp2f1 switches between the series, the
+        # Pfaff map and the inversion; each x of a batch, duplicates included,
+        # must give exactly what it gives alone
+        energy = a + 1.2 + 1.8 * frac if band == "I" else (a - 1.2) * (2 * frac - 1)
+        b = (abs(energy) + a) / q
+        side = -1.0 if kind == "transmitted" else 1.0
+        edges = [_edge_x(u, side, b) for u in (0.5, 1.0, 2.0)]
+        xs = edges * 2 + [x + d / b for x in edges for d in (-0.3, 0.3)]
+        order.shuffle(xs)
+        pot, par = Potential(a, b), Particle(1.0)
+        profile = wave_profile(xs, kind, pot, par, energy)
+        for x, got in zip(xs, profile):
+            (alone,) = wave_profile((x,), kind, pot, par, energy)
+            assert (got.psi, got.phi, got.theta) == (alone.psi, alone.phi, alone.theta)
+        for x in edges:
+            got = profile[xs.index(x)]
+            psi, theta = _mpmath_wave(kind, a, b, 1.0, energy, x)
+            assert abs(got.psi - psi) <= 1e-12 * abs(psi)
+            assert abs(got.theta - theta) <= 1e-12 * abs(theta)
+
+
+def _edge_x(u, side, b):
+    """An x with exp(2 side b x) == u: ln(u) / (2 side b) or a float next to
+    it, where one of the three gives u exactly."""
+    x = math.log(u) / (2.0 * side * b)
+    for near in (x, math.nextafter(x, math.inf), math.nextafter(x, -math.inf)):
+        if math.exp(2.0 * side * b * near) == u:
+            return near
+    return x
 
 
 def _mpmath_wave(kind, a, b, m, energy, x):
