@@ -8,6 +8,8 @@ unwritable output), 2 on usage errors (argparse).
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import math
 import os
 import sys
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import beta_matrices, trilinear_residual
-from .errors import BoundaryEnergyError, DkpScatterError
+from .errors import DkpScatterError
 from .oracle import numeric_rt
 from .scattering import (
     BOUNDARY_EPS,
@@ -25,14 +27,20 @@ from .scattering import (
     Potential,
     Region,
     classify_region,
+    _GUARDED,
+    _OK,
+    _REGIONS,
+    _scattering_batch,
     critical_energies,
-    kinematics,
     scattering_coefficients,
     step_rt,
 )
 from .wavefield import Kind, component_residuals, wave_profile
 
 __all__ = ["main"]
+
+# CSV token of each region code of a batch
+_TOKENS = [region.token for region in _REGIONS]
 
 
 def _fmt12(value: complex | float) -> str:
@@ -82,15 +90,16 @@ def _particle(args: argparse.Namespace) -> Particle:
 
 def _cmd_point(args: argparse.Namespace) -> int:
     pot, par = _pot(args), _particle(args)
-    result = scattering_coefficients(pot, par, args.E)
-    k = kinematics(pot, par, args.E)
+    batch = _scattering_batch(pot, par, np.array([args.E], float))
+    region, k = batch.one(args.E)
+    refl, trans = float(batch.R[0]), float(batch.T[0])
     print(f"E = {_fmt12(args.E)}")
-    print(f"region = {result.region.token}")
+    print(f"region = {region.token}")
     print(f"nu = {_fmt12(k.nu)}")
     print(f"mu = {_fmt12(k.mu)}")
-    print(f"R = {_fmt12(result.R)}")
-    print(f"T = {_fmt12(result.T)}")
-    print(f"R+T-1 = {_fmt12(result.unitarity_defect)}")
+    print(f"R = {_fmt12(refl)}")
+    print(f"T = {_fmt12(trans)}")
+    print(f"R+T-1 = {_fmt12(refl + trans - 1.0)}")
     return 0
 
 
@@ -100,19 +109,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise DkpScatterError("sweep needs at least 2 steps")
     if not args.emin < args.emax:
         raise DkpScatterError("sweep needs emin < emax")
-    rows = ["E,R,T,unitarity_defect,region"]
-    for energy in np.linspace(args.emin, args.emax, args.steps):
-        energy = float(energy)
-        try:
-            res = scattering_coefficients(pot, par, energy)
-        except BoundaryEnergyError:
-            print(f"skipping E = {_fmt12(energy)}: within boundary guard",
-                  file=sys.stderr)
-            continue
-        rows.append(",".join((
-            _csv_float(energy), _csv_float(res.R), _csv_float(res.T),
-            _csv_float(res.unitarity_defect), res.region.token)))
-    _emit(rows, args.out)
+    energies = np.linspace(args.emin, args.emax, args.steps)
+    batch = _scattering_batch(pot, par, energies)
+    # skip lines in grid order, up to the first energy with a typed error
+    for i in np.flatnonzero(batch.status != _OK).tolist():
+        energy = float(energies[i])
+        if batch.status[i] != _GUARDED:
+            raise batch.error(i, energy)
+        print(f"skipping E = {_fmt12(energy)}: within boundary guard",
+              file=sys.stderr)
+    keep = batch.status == _OK
+    refl, trans = batch.R[keep], batch.T[keep]
+    # repr is the shortest round-trip representation
+    cols = [map(repr, col.tolist())
+            for col in (energies[keep], refl, trans, refl + trans - 1.0)]
+    tokens = map(_TOKENS.__getitem__, batch.region[keep].tolist())
+    rows = map(",".join, zip(*cols, tokens))
+    _emit(itertools.chain(["E,R,T,unitarity_defect,region"], rows), args.out)
     return 0
 
 
@@ -251,6 +264,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dkpscatter",

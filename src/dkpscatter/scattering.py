@@ -11,10 +11,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
+import numpy as np
+
 from . import _kernels
 from .errors import (
     BoundaryEnergyError,
     ChannelClosedError,
+    DkpScatterError,
     EvanescentIncidentError,
     InvalidParameterError,
     RangeError,
@@ -153,72 +156,147 @@ def critical_energies(pot: Potential, particle: Particle) -> tuple[float, ...]:
     return tuple(sorted((-a - m, -a + m, a - m, a + m)))
 
 
-def _half_wavenumber(excess: float, scale: float) -> complex:
-    # sqrt(excess^2-ish)/(2b) with the sign/branch convention of the docstring
-    if excess > 0:
-        return complex(math.copysign(math.sqrt(excess), scale), 0.0)
-    return complex(0.0, math.sqrt(-excess))
+# Status of each energy of a batch: its R and T hold, or the typed error the
+# scalar entry points raise there (see _Batch.error)
+_OK, _GUARDED, _NON_FINITE, _KINEMATICS_RANGE, _RT_RANGE = range(5)
+# a batch's region codes index this tuple
+_REGIONS = tuple(Region)
+_I, _II, _III, _IV, _V, _BOUNDARY = range(len(_REGIONS))
+# region code by [sign(nu), sign(mu)], a sign of -1 indexing the last entry:
+# both real with the same sign I (positive) or V (negative), opposite signs
+# III, only nu real II, only mu real IV, neither BOUNDARY
+_SIGN_REGIONS = np.array([[_BOUNDARY, _IV, _IV], [_II, _I, _III], [_II, _III, _V]])
+
+
+def _lam_underflows(b: float) -> bool:
+    # lam needs b*b - 4a*a, which has lost its digits once b*b underflows
+    return b * b < sys.float_info.min
+
+
+def _b_underflow_error(b: float) -> RangeError:
+    return RangeError(f"b*b underflows at b={b}")
+
+
+def _kinematics(pot: Potential, particle: Particle,
+                energy: np.ndarray) -> tuple[np.ndarray, complex]:
+    """nu and mu over an energy array, as the rows of one (2, n) array, and
+    the shared lam; no checks (call under np.errstate(all="ignore"))."""
+    a, b, m = pot.a, pot.b, particle.m
+    # E + a and E - a
+    shifted = np.add.outer((a, -a), energy)
+    # (e - m)(e + m) keeps its digits near a threshold, where e*e - m*m cancels
+    excess = (shifted - m) * (shifted + m)
+    # sqrt(excess)/(2b), with the sign of E +- a, in a propagating channel,
+    # and i sqrt(-excess)/(2b) in an evanescent one; -excess keeps the -0.0
+    # of sqrt(-0.0) at a threshold, and dividing the parts separately gives
+    # the bits of a complex division wherever they are finite
+    open_ = excess > 0.0
+    part = np.sqrt(np.where(open_, excess, -excess)) / (2.0 * b)
+    nu_mu = np.empty(excess.shape, complex)
+    nu_mu.real = np.where(open_, np.copysign(part, shifted), 0.0)
+    nu_mu.imag = np.where(open_, 0.0, part)
+    disc = b * b - 4.0 * a * a
+    if disc >= 0:
+        lam = complex((b + math.sqrt(disc)) / (2.0 * b), 0.0)
+    else:
+        lam = complex(0.5, math.sqrt(-disc) / (2.0 * b))
+    return nu_mu, lam
 
 
 def kinematics(pot: Potential, particle: Particle, energy: float) -> KinematicParams:
     """nu, mu, lam for the given configuration.  Purely algebraic; no
     boundary guard is applied here.  Raises RangeError when b*b underflows,
     since lam needs b*b - 4a*a, which then loses its digits."""
-    a, b, m = pot.a, pot.b, particle.m
-    if b * b < sys.float_info.min:
-        raise RangeError(f"b*b underflows at b={b}")
-    e_plus = energy + a
-    e_minus = energy - a
-    # (e - m)(e + m) keeps its digits near a threshold, where e*e - m*m cancels
-    nu = _half_wavenumber((e_plus - m) * (e_plus + m), e_plus) / (2.0 * b)
-    mu = _half_wavenumber((e_minus - m) * (e_minus + m), e_minus) / (2.0 * b)
-    disc = b * b - 4.0 * a * a
-    if disc >= 0:
-        lam = complex((b + math.sqrt(disc)) / (2.0 * b), 0.0)
+    if _lam_underflows(pot.b):
+        raise _b_underflow_error(pot.b)
+    with np.errstate(all="ignore"):
+        nu_mu, lam = _kinematics(pot, particle, np.array([energy], float))
+    return KinematicParams(complex(nu_mu[0, 0]), complex(nu_mu[1, 0]), lam)
+
+
+class _Batch(NamedTuple):
+    """The energy decision over an energy array (see _decide), and R and T
+    once _scattering_batch has run: a status and a region code per energy,
+    the kinematics (nu and mu as the rows of nu_mu, lam shared)."""
+
+    pot: Potential
+    particle: Particle
+    status: np.ndarray
+    region: np.ndarray
+    nu_mu: np.ndarray
+    lam: complex
+    R: np.ndarray | None = None
+    T: np.ndarray | None = None
+
+    def error(self, i: int, energy: float) -> DkpScatterError | None:
+        """The typed error of element i, None where its status is ok; energy
+        is the element's value as the caller gave it, for the message."""
+        status = self.status[i]
+        if status == _OK:
+            return None
+        if status == _GUARDED:
+            return BoundaryEnergyError(
+                f"E={energy} within {BOUNDARY_EPS} of a channel threshold "
+                "(or in the fully evanescent gap)")
+        if status == _NON_FINITE:
+            return InvalidParameterError(f"energy must be finite, got {energy}")
+        if status == _KINEMATICS_RANGE:
+            if _lam_underflows(self.pot.b):
+                return _b_underflow_error(self.pot.b)
+            return RangeError(
+                f"kinematics out of floating-point range at E={energy}, "
+                f"a={self.pot.a}, b={self.pot.b}, m={self.particle.m}")
+        nu, mu = self.nu_mu.real[:, i].tolist()
+        return RangeError(f"R and T not representable at nu={nu}, mu={mu}")
+
+    def one(self, energy: float) -> tuple[Region, KinematicParams]:
+        """Region and kinematics of a batch of one; raises its typed error."""
+        err = self.error(0, energy)
+        if err is not None:
+            raise err
+        k = KinematicParams(complex(self.nu_mu[0, 0]), complex(self.nu_mu[1, 0]),
+                            self.lam)
+        return _REGIONS[self.region[0]], k
+
+
+def _decide(pot: Potential, particle: Particle, energy: np.ndarray) -> _Batch:
+    """The energy decision of every entry point over an energy array, with
+    kinematics computed once (call under np.errstate(all="ignore")).
+
+    The band follows the reality pattern of (nu, mu), whose real parts are
+    zero exactly in an evanescent channel (see _SIGN_REGIONS).  The status
+    is, by precedence: non-finite energy; nu, mu or lam out of the
+    floating-point range, or b*b underflowing; guarded, within BOUNDARY_EPS
+    of a threshold or where neither channel propagates (the gap, possible
+    only for |a| < m); ok."""
+    nu_mu, lam = _kinematics(pot, particle, energy)
+    real = nu_mu.real
+    sign = np.subtract(real > 0.0, real < 0.0, dtype=np.int8)
+    region = _SIGN_REGIONS[sign[0], sign[1]]
+    distance = np.abs(np.subtract.outer(critical_energies(pot, particle), energy))
+    status = np.where((region == _BOUNDARY) | (distance.min(axis=0) <= BOUNDARY_EPS),
+                      _GUARDED, _OK)
+    if _lam_underflows(pot.b) or not cmath.isfinite(lam):
+        status[:] = _KINEMATICS_RANGE
     else:
-        lam = complex(0.5, math.sqrt(-disc) / (2.0 * b))
-    return KinematicParams(nu, mu, lam)
+        status[~np.isfinite(nu_mu).all(axis=0)] = _KINEMATICS_RANGE
+    status[~np.isfinite(energy)] = _NON_FINITE
+    return _Batch(pot, particle, status, region, nu_mu, lam)
+
+
+def _decide_one(pot: Potential, particle: Particle, energy: float) -> _Batch:
+    with np.errstate(all="ignore"):
+        return _decide(pot, particle, np.array([energy], float))
 
 
 def _band(pot: Potential, particle: Particle,
           energy: float) -> tuple[Region, KinematicParams]:
-    """The energy decision of every entry point: band label and kinematics,
-    with kinematics computed once.
-
-    The band follows the reality pattern of (nu, mu), whose real parts are
-    zero exactly in an evanescent channel: both real with the same sign I
-    (positive) or V (negative), opposite signs III, only nu real II, only mu
-    real IV.  Raises InvalidParameterError for a non-finite energy,
+    """Band label and kinematics at one energy, the decision of _decide on a
+    batch of one.  Raises InvalidParameterError for a non-finite energy,
     RangeError when nu, mu or lam leave the floating-point range, and
     BoundaryEnergyError within BOUNDARY_EPS of a threshold or where neither
-    channel propagates (the gap, possible only for |a| < m)."""
-    if not math.isfinite(energy):
-        raise InvalidParameterError(f"energy must be finite, got {energy}")
-    k = kinematics(pot, particle, energy)
-    if not all(map(cmath.isfinite, k)):
-        raise RangeError(
-            f"kinematics out of floating-point range at E={energy}, "
-            f"a={pot.a}, b={pot.b}, m={particle.m}")
-    nu, mu = k.nu.real, k.mu.real
-    if nu and mu:
-        if (nu > 0.0) != (mu > 0.0):
-            region = Region.III
-        else:
-            region = Region.I if nu > 0.0 else Region.V
-    elif nu:
-        region = Region.II
-    elif mu:
-        region = Region.IV
-    else:
-        region = Region.BOUNDARY
-    for ec in critical_energies(pot, particle):
-        if abs(energy - ec) <= BOUNDARY_EPS:
-            region = Region.BOUNDARY
-    if region is Region.BOUNDARY:
-        raise BoundaryEnergyError(
-            f"E={energy} within {BOUNDARY_EPS} of a channel threshold "
-            "(or in the fully evanescent gap)")
-    return region, k
+    channel propagates."""
+    return _decide_one(pot, particle, energy).one(energy)
 
 
 def _incident_kinematics(pot: Potential, particle: Particle,
@@ -240,10 +318,10 @@ def classify_region(pot: Potential, particle: Particle, energy: float) -> Region
     I, both negative V, opposite signs III; only nu real II; only mu real IV.
     Raises InvalidParameterError for a non-finite energy and RangeError where
     the kinematics leave the floating-point range."""
-    try:
-        return _band(pot, particle, energy)[0]
-    except BoundaryEnergyError:
+    batch = _decide_one(pot, particle, energy)
+    if batch.status[0] == _GUARDED:
         return Region.BOUNDARY
+    return batch.one(energy)[0]
 
 
 def hypergeometric_parameters(k: KinematicParams) -> HypergeometricParams:
@@ -278,9 +356,10 @@ def connection_coefficients(k: KinematicParams) -> ConnectionCoefficients:
 _TWO_PI = 2.0 * math.pi
 
 
-def _propagating_rt(k: KinematicParams, a: float,
-                    b: float) -> tuple[float, float]:
-    """R and T for real nu and mu on the step a tanh(bx).
+def _propagating_rt(nu_mu: np.ndarray, lam: complex, a: float,
+                    b: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """R and T for real nu and mu, the rows of nu_mu, on the step a tanh(bx),
+    and where they are representable.
 
     R = |C/A|^2 and T = (mu/nu)/|A|^2 reduce, through |Gamma(1+iy)|^2 =
     pi y/sinh(pi y), |Gamma(1/2+iy)|^2 = pi/cosh(pi y) and Gamma(s)Gamma(1-s)
@@ -296,36 +375,60 @@ def _propagating_rt(k: KinematicParams, a: float,
     overflows, and the exponent of the p - q term is taken as p + q - 2
     min(p, q), so that both sinh terms and T share one scale factor and
     R + T = 1 holds to rounding.  For a = 0 (lam = 1, nu = mu) R = 0 and
-    T = 1 come out exactly."""
-    nu, mu, kappa = k.nu.real, k.mu.real, k.lam.imag
-    p, q = abs(nu), abs(mu)
-    big = max(p + q, kappa)
-    scale = math.exp(_TWO_PI * (p + q - big))
-    e_sum = math.expm1(-_TWO_PI * (p + q))
-    e_diff = math.expm1(-_TWO_PI * abs(p - q))
+    T = 1 come out exactly.  R and T are representable where the
+    denominator is a normal number: then a term rounded in the subnormal
+    range moves R and T by at most an ulp of max(1, |R|, |T|).  They are
+    not where S and the sinh^2 term both underflow, which takes nu +- mu
+    and 1 - lam below about 1e-154, nor where a subnormal S is the whole
+    denominator.  Call under np.errstate(all="ignore") with a finite lam."""
+    p_q = np.abs(nu_mu.real)
+    p, q = p_q
+    kappa = lam.imag
+    p_plus_q = p + q
+    big = np.maximum(p_plus_q, kappa)
+    scale = np.exp(_TWO_PI * (p_plus_q - big))
+    e_sum = np.expm1(-_TWO_PI * p_plus_q)
+    e_diff = np.expm1(-_TWO_PI * np.abs(p - q))
     sh_sum = scale * e_sum * e_sum
-    sh_diff = scale * math.exp(-2.0 * _TWO_PI * min(p, q)) * e_diff * e_diff
+    sh_diff = scale * np.exp(-2.0 * _TWO_PI * np.minimum(p, q)) * e_diff * e_diff
     # |sinh(2 pi nu) sinh(2 pi mu)| on the same scale
-    prod = scale * math.expm1(-2.0 * _TWO_PI * p) \
-        * math.expm1(-2.0 * _TWO_PI * q)
+    e_nu, e_mu = np.expm1(-2.0 * _TWO_PI * p_q)
+    prod = scale * e_nu * e_mu
     if kappa:
-        s = math.exp(_TWO_PI * (kappa - big)) \
+        s = np.exp(_TWO_PI * (kappa - big)) \
             * (1.0 + math.exp(-_TWO_PI * kappa)) ** 2
     else:
         # 1 - lam without the cancellation of a lam rounded near 1 (b >> a);
         # exactly 0 for a = 0
         one_minus_lam = 2.0 * a * a / (b * (b + math.sqrt(b * b - 4.0 * a * a)))
         s = 4.0 * math.sin(math.pi * one_minus_lam) ** 2 \
-            * math.exp(-_TWO_PI * big)
-    same_sign = (nu < 0.0) == (mu < 0.0)
-    den = s + (sh_sum if same_sign else sh_diff)
-    if not den > 0.0:
-        # S and the sinh^2 term both underflowed, which takes nu +- mu and
-        # 1 - lam below about 1e-154
-        raise RangeError(f"R and T not representable at nu={nu}, mu={mu}")
-    if same_sign:
-        return (s + sh_diff) / den, prod / den
-    return (s + sh_sum) / den, -prod / den
+            * np.exp(-_TWO_PI * big)
+    negative = nu_mu.real < 0.0
+    same_sign = negative[0] == negative[1]
+    den = s + np.where(same_sign, sh_sum, sh_diff)
+    refl = (s + np.where(same_sign, sh_diff, sh_sum)) / den
+    trans = np.where(same_sign, prod, -prod) / den
+    return refl, trans, den >= sys.float_info.min
+
+
+def _scattering_batch(pot: Potential, particle: Particle,
+                      energy: np.ndarray) -> _Batch:
+    """scattering_coefficients over an energy array: the decision of _decide,
+    R and T (exactly 1 and 0 in bands II and IV), and the status of the
+    energies whose R and T are not representable."""
+    with np.errstate(all="ignore"):
+        batch = _decide(pot, particle, energy)
+        ok = batch.status == _OK
+        if not ok.any():
+            # lam may be out of range, and the R/T formula needs it finite
+            nan = np.full(energy.shape, math.nan)
+            return batch._replace(R=nan, T=nan)
+        refl, trans, representable = _propagating_rt(batch.nu_mu, batch.lam,
+                                                      pot.a, pot.b)
+    evanescent = (batch.region == _II) | (batch.region == _IV)
+    batch.status[ok & ~(evanescent | representable)] = _RT_RANGE
+    return batch._replace(R=np.where(evanescent, 1.0, refl),
+                          T=np.where(evanescent, 0.0, trans))
 
 
 def scattering_coefficients(pot: Potential, particle: Particle,
@@ -336,11 +439,11 @@ def scattering_coefficients(pot: Potential, particle: Particle,
     the Gamma ratios (see _propagating_rt).  In the one-evanescent-channel
     bands the result is exact: R = 1, T = 0 (for an imaginary nu this follows
     from the x -> -x mirror, which swaps the channel roles).  Energies inside
-    the boundary guard are rejected."""
-    region, k = _band(pot, particle, energy)
-    if region in (Region.II, Region.IV):
-        return ScatteringResult(energy, region, 1.0, 0.0, 0.0)
-    refl, trans = _propagating_rt(k, pot.a, pot.b)
+    the boundary guard are rejected.  This is _scattering_batch on a batch
+    of one."""
+    batch = _scattering_batch(pot, particle, np.array([energy], float))
+    region, _ = batch.one(energy)
+    refl, trans = float(batch.R[0]), float(batch.T[0])
     return ScatteringResult(energy, region, refl, trans, refl + trans - 1.0)
 
 

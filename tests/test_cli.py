@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from dkpscatter import Particle, Potential, scattering_coefficients, wavefunction
-from dkpscatter.cli import _emit, main
+from dkpscatter import scattering
+from dkpscatter.cli import _build_parser, _emit, main
 
 POINT_ARGS = ["point", "--a", "5", "--b", "3", "--m", "1", "--E", "7"]
 SWEEP_ARGS = ["sweep", "--a", "5", "--b", "3", "--m", "1"]
@@ -39,6 +40,15 @@ class TestPoint:
         pairs = _parse_point(capsys.readouterr().out)
         assert pairs["mu"].endswith("j")
         assert pairs["R"] == "1" and pairs["T"] == "0"
+
+    def test_one_energy_decision(self, monkeypatch, capsys):
+        # nu and mu come from the call that gives R and T
+        calls = []
+        decide = scattering._decide
+        monkeypatch.setattr(scattering, "_decide",
+                            lambda *args: calls.append(args) or decide(*args))
+        assert main(POINT_ARGS) == 0
+        assert len(calls) == 1
 
     def test_boundary_energy_fails(self, capsys):
         assert main(["point", "--a", "5", "--b", "3", "--m", "1", "--E", "6"]) == 1
@@ -84,6 +94,20 @@ class TestSweep:
         skips = [l for l in captured.err.splitlines() if l.startswith("skipping E = ")]
         assert len(skips) == 3
         assert "within boundary guard" in skips[0]
+
+    def test_typed_error_after_guarded_energy(self, tmp_path, capsys):
+        # E = 3.9999999996 is guarded, then (E + a)^2 overflows at 5e199:
+        # the skip line comes first, then the error, and no file is written
+        target = tmp_path / "sweep.csv"
+        args = SWEEP_ARGS + ["--emin", "3.9999999996", "--emax", "1e200",
+                             "--steps", "3", "--out", str(target)]
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "skipping E = 3.9999999996: within boundary guard",
+            "error: kinematics out of floating-point range at E=5e+199, "
+            "a=5.0, b=3.0, m=1.0",
+        ]
+        assert not target.exists()
 
     def test_output_file_byte_stable(self, tmp_path):
         first = tmp_path / "sweep1.csv"
@@ -193,6 +217,37 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL oracle-equivalence" in out
         assert "of 6 checks failed" in out
+
+
+class TestParserReuse:
+    def test_outputs_do_not_change_across_calls(self, tmp_path, capsys):
+        # the parser is built once per process: commands, failures and usage
+        # errors in one process give what each gives on its own
+        runs = [
+            POINT_ARGS,
+            SWEEP_ARGS + ["--emin", "3.9", "--emax", "4.1", "--steps", "5"],
+            ["regions", "--a", "2", "--m", "1"],
+            ["point", "--a", "5", "--b", "3", "--m", "1", "--E", "6"],
+            ["wavefunction", "--a", "5", "--b", "3", "--m", "1", "--E", "7",
+             "--xmin", "-1", "--xmax", "1", "--samples", "3", "--kind", "incident"],
+        ]
+
+        def run(argv):
+            rc = main(argv)
+            captured = capsys.readouterr()
+            return rc, captured.out, captured.err
+
+        first = [run(argv) for argv in runs]
+        assert [rc for rc, _, _ in first] == [0, 0, 0, 1, 0]
+        again = []
+        for argv in reversed(runs):
+            with pytest.raises(SystemExit) as exc:
+                main(["point", "--a", "5", "--b", "3", "--m", "1"])
+            assert exc.value.code == 2
+            capsys.readouterr()
+            again.append(run(argv))
+        assert again[::-1] == first
+        assert _build_parser() is _build_parser()
 
 
 class TestUsage:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dkpscatter import scattering
 from dkpscatter import (
     BoundaryEnergyError,
     ChannelClosedError,
@@ -427,6 +428,108 @@ class TestOutOfRangeInputs:
             classify_region(pot, particle, energy)
         except DkpScatterError:
             pass
+
+
+def _elementary_rt(nu, mu, lam, a, b):
+    """R and T of the elementary closed form at 50 digits from the double nu,
+    mu and lam of the array path, so that only the R/T arithmetic is tested;
+    1 - lam comes from a and b, as it does there."""
+    with mp.workdps(50):
+        nu, mu = mp.mpf(nu), mp.mpf(mu)
+        if lam.imag:
+            s = mp.cosh(mp.pi * mp.mpf(lam.imag)) ** 2
+        else:
+            a, b = mp.mpf(a), mp.mpf(b)
+            s = mp.sin(mp.pi * 2 * a * a / (b * (b + mp.sqrt(b * b - 4 * a * a)))) ** 2
+        den = s + mp.sinh(mp.pi * (nu + mu)) ** 2
+        refl = (s + mp.sinh(mp.pi * (nu - mu)) ** 2) / den
+        trans = mp.sinh(2 * mp.pi * nu) * mp.sinh(2 * mp.pi * mu) / den
+        return float(refl), float(trans)
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+# parameter sets of test_typed_error and test_underflowing_rt_terms, a gap
+# (|a| < m) and the (5, 3, 1) step
+_ARRAY_PARAMS = [
+    (5.0, 3.0, 1.0), (1e155, 1.0, 1.0), (5.0, 1e300, 1.0), (1e-300, 1e-200, 1.0),
+    (3.0, 1e150, 1.0), (0.3, 1.0, 1.0), (0.0, 2.0, 1.0), (1.0, 1e81, 0.5),
+]
+
+
+@st.composite
+def _energy_arrays(draw):
+    """(a, b, m) at the extremes above, log-uniform over 1e+-300 or moderate,
+    and up to 16 energies: exact thresholds and thresholds +-1e-9, the
+    window around them (the gap for |a| < m), non-finite values, +-1e200, 0,
+    and log-uniform magnitudes over 1e+-300."""
+    log = st.floats(-300.0, 300.0)
+    sign = st.sampled_from([1.0, -1.0])
+    a, b, m = draw(st.one_of(
+        st.sampled_from(_ARRAY_PARAMS),
+        st.tuples(st.builds(lambda s, x: s * 10.0 ** x, sign, log),
+                  log.map(lambda x: 10.0 ** x), log.map(lambda x: 10.0 ** x)),
+        st.tuples(st.floats(-10.0, 10.0), st.floats(-3.0, 6.0).map(lambda x: 10.0 ** x),
+                  st.floats(0.3, 3.0))))
+    thresholds = (-a - m, -a + m, a - m, a + m)
+    near = st.builds(lambda t, d: t + d, st.sampled_from(thresholds),
+                     st.sampled_from([0.0, 1e-9, -1e-9, 1.01e-9, -1.01e-9, 1e-6]))
+    window = abs(a) + 3.0 * m
+    energy = st.one_of(
+        near,
+        st.sampled_from([math.nan, math.inf, -math.inf, 1e200, -1e200, 0.0]),
+        st.floats(-window, window),
+        st.builds(lambda s, x: s * 10.0 ** x, sign, log))
+    return a, b, m, draw(st.lists(energy, min_size=1, max_size=16))
+
+
+class TestArrayPath:
+    """The array path against its batch of one, scattering_coefficients."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=_energy_arrays())
+    def test_matches_scalar_and_reference(self, case):
+        a, b, m, energies = case
+        pot, particle = Potential(a, b), Particle(m)
+        batch = scattering._scattering_batch(pot, particle, np.array(energies))
+        for i, energy in enumerate(energies):
+            try:
+                res = scattering_coefficients(pot, particle, energy)
+            except DkpScatterError as exc:
+                err = batch.error(i, energy)
+                assert type(err) is type(exc) and str(err) == str(exc)
+                continue
+            assert batch.status[i] == scattering._OK
+            assert scattering._REGIONS[batch.region[i]] is res.region
+            assert _bits(batch.R[i]) == _bits(res.R)
+            assert _bits(batch.T[i]) == _bits(res.T)
+            if res.region in (Region.II, Region.IV):
+                assert (res.R, res.T) == (1.0, 0.0)
+                continue
+            nu, mu = batch.nu_mu.real[:, i]
+            r_ref, t_ref = _elementary_rt(nu, mu, batch.lam, a, b)
+            # the exponents 2 pi (|nu| + |mu|) and 2 pi kappa carry a rounding
+            # error of about eps times their size into R and T
+            big = max(abs(nu) + abs(mu), batch.lam.imag)
+            tol = (1e-14 + 2.0 * math.pi * big * 2.0 ** -52) \
+                * max(1.0, abs(r_ref), abs(t_ref))
+            assert abs(res.R - r_ref) <= tol and abs(res.T - t_ref) <= tol
+
+    def test_subnormal_denominator(self):
+        # band III at E = 0 with 1 - lam ~ a^2/b^2: the denominator is S alone,
+        # 4 sin^2(pi (1 - lam)), subnormal at b = 1e81, where R kept about
+        # three digits; normal at b = 1e77
+        particle = Particle(0.5)
+        with pytest.raises(RangeError, match="not representable"):
+            scattering_coefficients(Potential(1.0, 1e81), particle, 0.0)
+        pot = Potential(1.0, 1e77)
+        res = scattering_coefficients(pot, particle, 0.0)
+        k = kinematics(pot, particle, 0.0)
+        r_ref, t_ref = _elementary_rt(k.nu.real, k.mu.real, k.lam, 1.0, 1e77)
+        assert abs(res.R - r_ref) <= 1e-14 * r_ref
+        assert abs(res.T - t_ref) <= 1e-14 * r_ref
 
 
 class TestCurrents:
