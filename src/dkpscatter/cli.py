@@ -53,23 +53,16 @@ def _fmt12(value: complex | float) -> str:
     return f"{value:.12g}"
 
 
-def _csv_float(value: float) -> str:
-    # shortest round-trip representation
-    return repr(float(value))
-
-
 def _emit(lines: Iterable[str], out_path: str | None) -> None:
-    """Write lines (LF, UTF-8) to stdout or to a file; a file that fails
-    mid-write is removed rather than left partial."""
+    """Write lines (LF, UTF-8) to stdout or to a file, in one write; a file
+    that fails mid-write is removed rather than left partial."""
     if out_path is None:
-        for line in lines:
-            sys.stdout.write(line + "\n")
+        sys.stdout.write("\n".join(lines) + "\n")
         return
     fh = None
     try:
         fh = open(out_path, "w", encoding="utf-8", newline="")
-        for line in lines:
-            fh.write(line + "\n")
+        fh.write("\n".join(lines) + "\n")
         fh.close()
         fh = None
     except BaseException:
@@ -158,16 +151,14 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
         raise DkpScatterError("wavefunction needs at least 2 samples")
     if not args.xmin < args.xmax:
         raise DkpScatterError("wavefunction needs xmin < xmax")
-    xs = np.linspace(args.xmin, args.xmax, args.samples).tolist()
-    trips = wave_profile(xs, args.kind, pot, par, args.E)
-    rows = ["x,re_psi,im_psi,re_phi,im_phi,re_theta,im_theta"]
-    for x, trip in zip(xs, trips):
-        rows.append(",".join((
-            _csv_float(x),
-            _csv_float(trip.psi.real), _csv_float(trip.psi.imag),
-            _csv_float(trip.phi.real), _csv_float(trip.phi.imag),
-            _csv_float(trip.theta.real), _csv_float(trip.theta.imag))))
-    _emit(rows, args.out)
+    xs = np.linspace(args.xmin, args.xmax, args.samples)
+    psi, phi, theta = wave_profile(xs, args.kind, pot, par, args.E)
+    # repr is the shortest round-trip representation
+    cols = [map(repr, col.tolist()) for col in
+            (xs, psi.real, psi.imag, phi.real, phi.imag, theta.real, theta.imag)]
+    rows = map(",".join, zip(*cols))
+    _emit(itertools.chain(["x,re_psi,im_psi,re_phi,im_phi,re_theta,im_theta"],
+                          rows), args.out)
     return 0
 
 
@@ -321,10 +312,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DkpScatterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DkpScatterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -61,8 +61,12 @@ class Potential:
         if self.b <= 0:
             raise InvalidParameterError(f"steepness b must be positive, got {self.b}")
 
-    def value(self, x: float) -> float:
-        return self.a * math.tanh(self.b * x)
+    def value(self, x: float | np.ndarray) -> float | np.ndarray:
+        """V(x) for a float or an array of x, with numpy's tanh for both, so
+        that an element of an array gets the same bits as the float alone."""
+        with np.errstate(over="ignore"):
+            v = self.a * np.tanh(self.b * np.asarray(x, dtype=float))
+        return v if v.ndim else float(v)
 
 
 @dataclass(frozen=True)
@@ -380,7 +384,10 @@ def _propagating_rt(nu_mu: np.ndarray, lam: complex, a: float,
     range moves R and T by at most an ulp of max(1, |R|, |T|).  They are
     not where S and the sinh^2 term both underflow, which takes nu +- mu
     and 1 - lam below about 1e-154, nor where a subnormal S is the whole
-    denominator.  Call under np.errstate(all="ignore") with a finite lam."""
+    denominator, nor where the rounding error of the exponents, about
+    2 pi big 2^-52, reaches 1 (big above about 7.2e14): R and T then keep
+    no correct digit.  Call under np.errstate(all="ignore") with a finite
+    lam."""
     p_q = np.abs(nu_mu.real)
     p, q = p_q
     kappa = lam.imag
@@ -408,7 +415,9 @@ def _propagating_rt(nu_mu: np.ndarray, lam: complex, a: float,
     den = s + np.where(same_sign, sh_sum, sh_diff)
     refl = (s + np.where(same_sign, sh_diff, sh_sum)) / den
     trans = np.where(same_sign, prod, -prod) / den
-    return refl, trans, den >= sys.float_info.min
+    representable = (den >= sys.float_info.min) \
+        & (_TWO_PI * big * sys.float_info.epsilon < 1.0)
+    return refl, trans, representable
 
 
 def _scattering_batch(pot: Potential, particle: Particle,

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Iterable, Literal, NamedTuple, get_args
+from typing import Literal, NamedTuple, Sequence, get_args
 
 import numpy as np
 
@@ -58,19 +58,22 @@ class _Wave(NamedTuple):
     w: float
 
 
-def _wave(kind: str, xs: Iterable[float], pot: Potential, particle: Particle,
+def _wave(kind: str, xs: np.ndarray, pot: Potential, particle: Particle,
           energy: float) -> _Wave:
     """The wave's record, after checking the kind, then every x of xs (finite,
     |2bx| <= 700), then the energy."""
     if kind not in _KINDS:
         raise InvalidParameterError(
             f"kind must be one of {_KINDS}, got {kind!r}")
-    for x in xs:
+    with np.errstate(all="ignore"):
+        bad = np.flatnonzero(~np.isfinite(xs)
+                             | (np.abs(2.0 * pot.b * xs) > _EXPONENT_CAP))
+    if bad.size:
+        # the first bad x in order; at one x, non-finite before out of window
+        x = float(xs[bad[0]])
         if not math.isfinite(x):
             raise InvalidParameterError("x must be finite")
-        if abs(2.0 * pot.b * x) > _EXPONENT_CAP:
-            raise RangeError(
-                f"|2bx| = {abs(2 * pot.b * x)} exceeds {_EXPONENT_CAP}")
+        raise RangeError(f"|2bx| = {abs(2 * pot.b * x)} exceeds {_EXPONENT_CAP}")
     k = _incident_kinematics(pot, particle, energy)
     hp = hypergeometric_parameters(k)
     if kind == "transmitted":
@@ -84,40 +87,32 @@ def _wave(kind: str, xs: Iterable[float], pot: Potential, particle: Particle,
                  energy + pot.a)
 
 
-def _triple(psi: complex, dpsi: complex, w: float, m: float,
-            polarization: np.ndarray | None) -> SpinorTriple:
-    # phi = w psi / m and theta = (i/m) dpsi/dx
-    return SpinorTriple(psi, w * psi / m, 1j * dpsi / m,
-                        (1.0, 0.0, 0.0) if polarization is None else polarization)
-
-
-def wave_profile(xs: Iterable[float], kind: Kind, pot: Potential,
-                 particle: Particle, energy: float,
-                 polarization: np.ndarray | None = None) -> list[SpinorTriple]:
-    """:func:`wavefunction` at every x of xs, with the wave built once.
+def wave_profile(xs: Sequence[float] | np.ndarray, kind: Kind, pot: Potential,
+                 particle: Particle, energy: float) -> np.ndarray:
+    """The wave at every x of the 1-d array xs, built once: a (3, len(xs))
+    complex array whose rows are psi, phi and theta, so that column j is
+    :func:`wavefunction` at xs[j], bit for bit.
 
     Checks the kind, then every x, then the energy, so an invalid x raises
     before any energy error."""
-    xs = [float(x) for x in xs]
+    xs = np.asarray(xs, dtype=float)
     amp, side, k, pa, pb, pc, lam, _ = _wave(kind, xs, pot, particle, energy)
     b, m = pot.b, particle.m
-    us = [math.exp(2.0 * side * b * x) for x in xs]
-    zs = -np.array(us, dtype=float)
-    f0s, failure0 = _hyp2f1_batch(pa, pb, pc, zs)
-    f1s, failure1 = _hyp2f1_batch(pa + 1, pb + 1, pc + 1, zs)
+    u = np.exp(2.0 * side * b * xs)
+    f0, failure0 = _hyp2f1_batch(pa, pb, pc, -u)
+    f1, failure1 = _hyp2f1_batch(pa + 1, pb + 1, pc + 1, -u)
     # raise as a loop over x would: the earliest x, and F before F1 at one x
     failures = [(f[0], rank, f[1]) for rank, f in enumerate((failure0, failure1))
                 if f is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[:2])[2]
-    out = []
-    for x, u, f0, f1 in zip(xs, us, f0s.tolist(), f1s.tolist()):
-        pref = amp * cmath.exp(2j * b * k * x + lam * math.log1p(u))
-        bracket = (1j * k + side * lam * (u / (1.0 + u))) * f0 \
-            - side * (pa * pb / pc) * u * f1
-        out.append(_triple(pref * f0, 2.0 * b * pref * bracket,
-                           energy - pot.value(x), m, polarization))
-    return out
+    pref = amp * np.exp(2j * b * k * xs + lam * np.log1p(u))
+    bracket = (1j * k + side * lam * (u / (1.0 + u))) * f0 \
+        - side * (pa * pb / pc) * u * f1
+    psi = pref * f0
+    # phi = (E - V) psi / m and theta = (i/m) dpsi/dx
+    dpsi = 2.0 * b * pref * bracket
+    return np.stack((psi, (energy - pot.value(xs)) * psi / m, 1j * dpsi / m))
 
 
 def wavefunction(x: float, kind: Kind, pot: Potential, particle: Particle,
@@ -130,7 +125,9 @@ def wavefunction(x: float, kind: Kind, pot: Potential, particle: Particle,
     difference quotient.  Valid wherever the incident channel propagates and
     |2bx| <= 700.
     """
-    return wave_profile((x,), kind, pot, particle, energy, polarization)[0]
+    psi, phi, theta = wave_profile((x,), kind, pot, particle, energy)[:, 0].tolist()
+    return SpinorTriple(psi, phi, theta, (1.0, 0.0, 0.0)
+                        if polarization is None else polarization)
 
 
 def asymptotic_wavefunction(x: float, kind: Kind, pot: Potential,
@@ -140,10 +137,12 @@ def asymptotic_wavefunction(x: float, kind: Kind, pot: Potential,
     amplitude: A e^{2ib nu x} (incident), C e^{-2ib nu x} (reflected),
     e^{2ib mu x} (transmitted).  The middle component carries (E -+ a)/m on
     the incident/transmitted side respectively."""
-    wave = _wave(kind, (x,), pot, particle, energy)
-    b = pot.b
+    wave = _wave(kind, np.array([x], dtype=float), pot, particle, energy)
+    b, m = pot.b, particle.m
     psi = wave.amp * cmath.exp(2j * b * wave.k * x)
-    return _triple(psi, 2j * b * wave.k * psi, wave.w, particle.m, polarization)
+    dpsi = 2j * b * wave.k * psi
+    return SpinorTriple(psi, wave.w * psi / m, 1j * dpsi / m, (1.0, 0.0, 0.0)
+                        if polarization is None else polarization)
 
 
 def component_residuals(x: float, kind: Kind, pot: Potential,
@@ -160,13 +159,13 @@ def component_residuals(x: float, kind: Kind, pot: Potential,
     """
     if not (h > 0 and math.isfinite(h)):
         raise InvalidParameterError(f"h must be positive and finite, got {h}")
-    minus, mid, plus = wave_profile((x - h, x, x + h), kind, pot, particle,
-                                    energy)
+    psi, phi, theta = wave_profile((x - h, x, x + h), kind, pot, particle,
+                                   energy)
     m = particle.m
     w = energy - pot.value(x)
-    r_phi = abs(mid.phi - w * mid.psi / m)
-    d1 = (plus.psi - minus.psi) / (2.0 * h)
-    r_theta = abs(mid.theta - 1j * d1 / m)
-    d2 = (plus.psi - 2.0 * mid.psi + minus.psi) / (h * h)
-    r_kg = abs(d2 + (w * w - m * m) * mid.psi)
-    return ComponentResiduals(r_phi, r_theta, r_kg)
+    r_phi = abs(phi[1] - w * psi[1] / m)
+    d1 = (psi[2] - psi[0]) / (2.0 * h)
+    r_theta = abs(theta[1] - 1j * d1 / m)
+    d2 = (psi[2] - 2.0 * psi[1] + psi[0]) / (h * h)
+    r_kg = abs(d2 + (w * w - m * m) * psi[1])
+    return ComponentResiduals(float(r_phi), float(r_theta), float(r_kg))

@@ -531,6 +531,15 @@ class TestArrayPath:
         assert abs(res.R - r_ref) <= 1e-14 * r_ref
         assert abs(res.T - t_ref) <= 1e-14 * r_ref
 
+    def test_exponent_rounding_past_one(self):
+        # kappa and 2|nu| round to the same double, about 5e56, so the
+        # exponents' rounding error 2 pi big 2^-52 is far above 1; R = 1 and
+        # T = 0 to all digits here, where the formula gave R = 2, T = -1
+        with pytest.raises(RangeError, match="not representable"):
+            scattering_coefficients(Potential(9269899972396.64, 8.771065157137887e-45),
+                                    Particle(1.1332601923732985e-115),
+                                    -1.1537069532307314)
+
 
 class TestCurrents:
     @pytest.mark.parametrize("energy", [7.0, 2.5, 1.5, -7.0])

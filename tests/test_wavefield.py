@@ -249,10 +249,10 @@ class TestWaveProfile:
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_wavefunction(self, pot, particle, kind, energy):
         profile = wave_profile(PROFILE_XS, kind, pot, particle, energy)
-        assert len(profile) == len(PROFILE_XS)
-        for x, got in zip(PROFILE_XS, profile):
+        assert profile.shape == (3, len(PROFILE_XS))
+        for x, (psi, phi, theta) in zip(PROFILE_XS, profile.T):
             want = wavefunction(x, kind, pot, particle, energy)
-            assert (got.psi, got.phi, got.theta) == (want.psi, want.phi, want.theta)
+            assert (psi, phi, theta) == (want.psi, want.phi, want.theta)
 
     @pytest.mark.parametrize("kind", ["incident", "reflected"])
     def test_one_build_per_call(self, monkeypatch, pot, particle, kind):
@@ -291,6 +291,11 @@ class TestWaveProfile:
             wave_profile((120.0,), "outgoing", pot, particle, 4.0)
         with pytest.raises(RangeError):
             wave_profile((0.0, 120.0), "incident", pot, particle, 4.0)
+        # the first bad x in order wins, whatever is wrong with a later one
+        with pytest.raises(RangeError):
+            wave_profile((0.0, 120.0, math.nan), "incident", pot, particle, 7.0)
+        with pytest.raises(InvalidParameterError):
+            wave_profile((math.nan, 120.0), "incident", pot, particle, 7.0)
 
 
     @pytest.mark.parametrize("kind,params,xs,error,message", PROFILE_ERRORS)
@@ -317,14 +322,14 @@ class TestWaveProfile:
         order.shuffle(xs)
         pot, par = Potential(a, b), Particle(1.0)
         profile = wave_profile(xs, kind, pot, par, energy)
-        for x, got in zip(xs, profile):
-            (alone,) = wave_profile((x,), kind, pot, par, energy)
-            assert (got.psi, got.phi, got.theta) == (alone.psi, alone.phi, alone.theta)
+        for x, got in zip(xs, profile.T):
+            alone = wave_profile((x,), kind, pot, par, energy)[:, 0]
+            assert tuple(got) == tuple(alone)
         for x in edges:
-            got = profile[xs.index(x)]
+            got_psi, _, got_theta = profile[:, xs.index(x)]
             psi, theta = _mpmath_wave(kind, a, b, 1.0, energy, x)
-            assert abs(got.psi - psi) <= 1e-12 * abs(psi)
-            assert abs(got.theta - theta) <= 1e-12 * abs(theta)
+            assert abs(got_psi - psi) <= 1e-12 * abs(psi)
+            assert abs(got_theta - theta) <= 1e-12 * abs(theta)
 
 
 def _edge_x(u, side, b):
