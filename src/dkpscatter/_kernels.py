@@ -2,12 +2,12 @@
 hypergeometric series and its Pfaff map, and the log-domain Gamma ratio of the
 connection coefficients.
 
-Log Gamma and the Gamma ratio are plain Python on complex scalars; the two
-series run over an array of real arguments at once.  Failures raise the
-package's typed errors.  The series return their sums together with each
-sum's cancellation figure max|term| / |sum|: the relative rounding error of a
-sum is about that figure times the unit roundoff, and
-:func:`dkpscatter.specfun.hyp2f1` refuses values whose figure is too large.
+Log Gamma and the Gamma ratio are plain Python on complex scalars and raise
+the package's typed errors.  The two series run over an array of real
+arguments at once and raise nothing: they return their sums, each sum's
+cancellation figure max|term| / |sum| (its relative rounding error over the
+unit roundoff, which :func:`dkpscatter.specfun.hyp2f1` bounds) and their
+first non-convergence, for the caller to rank.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import NonConvergenceError, PoleError
+from .errors import NonConvergenceError, PoleError, RangeError
 
 # Stirling series for log Gamma: B_{2n} / (2n (2n-1) z^{2n-1}), n = 1..8.
 # Truncation error at Re(z) = 12 is ~4e-17, below double rounding.
@@ -35,7 +35,7 @@ _HALF_LOG_TWO_PI = 0.9189385332046727
 MAX_SERIES_TERMS = 100_000
 
 # A series block is _BLOCK_TERMS terms of at most _BLOCK_WIDTH arguments, so the
-# working set stays fixed however many arguments a call has; MAX_SERIES_TERMS
+# working set stays fixed however many arguments a batch has; MAX_SERIES_TERMS
 # is a whole number of blocks.
 _BLOCK_TERMS = 32
 _BLOCK_WIDTH = 256
@@ -74,30 +74,21 @@ def lgamma_c(z: complex) -> complex:
     return out
 
 
-def gauss_series(a: complex, b: complex, c: complex,
-                 z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss hypergeometric series at every real z of an array, |z| < 1, and
-    each element's cancellation figure max|term| / |sum|.
+@np.errstate(all="ignore")
+def gauss_series(a: complex, b: complex, c: complex, z: np.ndarray) -> tuple[
+        np.ndarray, np.ndarray, tuple[int, NonConvergenceError] | None]:
+    """Gauss hypergeometric series at every real z of an array, |z| < 1, each
+    element's cancellation figure max|term| / |sum|, and the failure.
 
     Each element runs the scalar recurrence t_n = t_{n-1} (a+n)(b+n) /
-    ((c+n)(1+n)) z, _BLOCK_TERMS terms at a time as a cumulative product, over
-    at most _BLOCK_WIDTH elements at a time.  An element stops once ten
-    consecutive terms each move its partial sum by less than 1e-15 relative;
-    its result does not depend on the other elements.  Raises
-    NonConvergenceError, naming the first element still running when
-    MAX_SERIES_TERMS is hit.
+    ((c+n)(1+n)) z, _BLOCK_TERMS terms at a time as a cumulative product.  An
+    element stops once ten consecutive terms each move its partial sum by less
+    than 1e-15 relative; its result does not depend on the other elements.
+    The failure names the first element still running when MAX_SERIES_TERMS
+    is hit, else None.  All elements run as one block: callers pass at most
+    _BLOCK_WIDTH of them, which keeps the working set fixed.
     """
     z = np.asarray(z, dtype=float)
-    values = np.empty(z.shape, dtype=complex)
-    figures = np.empty(z.shape)
-    with np.errstate(all="ignore"):
-        for lo in range(0, z.size, _BLOCK_WIDTH):
-            chunk = slice(lo, lo + _BLOCK_WIDTH)
-            values[chunk], figures[chunk] = _series_block(a, b, c, z[chunk])
-    return values, figures
-
-
-def _series_block(a, b, c, z):
     # live columns carry their last term, partial sum, largest |term| so far
     # and the run of quiet terms that ends it
     n = np.arange(_BLOCK_TERMS)
@@ -131,34 +122,38 @@ def _series_block(a, b, c, z):
         keep = ~done
         live = live[keep]
         if live.size == 0:
-            return values, figures
+            return values, figures, None
         t, s = terms[-1, keep], sums[-1, keep]
         t_max, quiet = t_maxes[-1, keep], runs[-1, keep]
-    raise NonConvergenceError(
-        f"hyp2f1 series did not converge for ({a}, {b}, {c}, {float(z[live[0]])})")
+    return values, figures, (int(live[0]), NonConvergenceError(
+        f"hyp2f1 series did not converge for ({a}, {b}, {c}, {float(z[live[0]])})"))
 
 
-def pfaff_series(a: complex, b: complex, c: complex,
-                 z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def pfaff_series(a: complex, b: complex, c: complex, z: np.ndarray) -> tuple[
+        np.ndarray, np.ndarray, tuple[int, NonConvergenceError] | None]:
     """F(a,b;c;z) via the Pfaff map w = z/(z-1), at every z of an array in
-    [-1, 0), and the cancellation figures of the mapped series.
+    [-1, 0), and the cancellation figures and failure of the mapped series.
 
     The mapped arguments lie in [0, 1/2], where the series converges fast.
     """
     z = np.asarray(z, dtype=float)
-    s, cond = gauss_series(a, c - b, c, z / (z - 1.0))
-    return np.exp(-a * np.log(1.0 - z)) * s, cond
+    s, cond, failure = gauss_series(a, c - b, c, z / (z - 1.0))
+    return np.exp(-a * np.log(1.0 - z)) * s, cond, failure
 
 
 def _coeff_ratio(n1: complex, n2: complex, d1: complex, d2: complex) -> complex:
     """Gamma(n1)Gamma(n2) / (Gamma(d1)Gamma(d2)) in the log domain.
 
     Exactly zero when a denominator argument is at a pole; otherwise
-    PoleError when a numerator argument is.  Accumulated pairwise as
-    (n1/d1)(n2/d2), so an argument shared by both sides cancels exactly.
+    PoleError when a numerator argument is, and RangeError when the ratio
+    overflows.  Accumulated pairwise as (n1/d1)(n2/d2), so an argument shared
+    by both sides cancels exactly.
     """
     if _near_nonpositive_int(d1) or _near_nonpositive_int(d2):
         return 0.0 + 0.0j
     if _near_nonpositive_int(n1) or _near_nonpositive_int(n2):
         raise PoleError(f"Gamma pole in the numerator at {n1} or {n2}")
-    return cmath.exp((lgamma_c(n1) - lgamma_c(d1)) + (lgamma_c(n2) - lgamma_c(d2)))
+    try:
+        return cmath.exp((lgamma_c(n1) - lgamma_c(d1)) + (lgamma_c(n2) - lgamma_c(d2)))
+    except OverflowError:
+        raise RangeError(f"Gamma ratio ({n1}, {n2}) / ({d1}, {d2}) overflows") from None

@@ -76,6 +76,10 @@ def beta_matrices() -> BetaSet:
     return BetaSet(b0, spatial[0], spatial[1], spatial[2], metric)
 
 
+# read only, by dkp_residual; beta_matrices() hands out fresh copies
+_BETAS = beta_matrices()
+
+
 def trilinear_residual(betas: BetaSet | None = None) -> float:
     """Max-abs residual of the defining trilinear relation over all 64 index
     triples.  Exactly 0.0 for the built-in matrices."""
@@ -104,7 +108,7 @@ class SpinorTriple:
     polarization: np.ndarray = (1.0, 0.0, 0.0)  # any 3-sequence; kept as an array
 
     def __post_init__(self) -> None:
-        # plain float checks: this runs once per wavefunction sample
+        # plain float checks: this runs once per wavefunction call
         v = self.polarization
         if isinstance(v, np.ndarray):
             v = v.tolist()  # any shape but (3,) then fails to unpack as floats
@@ -148,12 +152,11 @@ def dkp_residual(solution: Callable[[float], SpinorTriple], x: float, h: float,
     """
     if h <= 0:
         raise InvalidParameterError("h must be positive")
-    betas = beta_matrices()
     s_minus = assemble_spinor(solution(x - h))
     s_mid = assemble_spinor(solution(x))
     s_plus = assemble_spinor(solution(x + h))
     w = energy - pot.a * math.tanh(pot.b * x)
     ds = (s_plus - s_minus) / (2.0 * h)
-    res = w * (betas.beta0 @ s_mid) + 1j * (betas.beta1 @ ds) \
+    res = w * (_BETAS.beta0 @ s_mid) + 1j * (_BETAS.beta1 @ ds) \
         - particle.m * s_mid
     return float(np.abs(res).max())

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import os
 import sys
-from typing import Iterable, Sequence, get_args
+from typing import Iterable, Iterator, Sequence, get_args
 
 import numpy as np
 
@@ -42,6 +41,8 @@ __all__ = ["main"]
 # CSV token of each region code of a batch
 _TOKENS = [region.token for region in _REGIONS]
 
+_CSV_BLOCK = 4096
+
 
 def _fmt12(value: complex | float) -> str:
     """12 significant digits; complex rendered as re+imj only when the
@@ -53,16 +54,27 @@ def _fmt12(value: complex | float) -> str:
     return f"{value:.12g}"
 
 
-def _emit(lines: Iterable[str], out_path: str | None) -> None:
-    """Write lines (LF, UTF-8) to stdout or to a file, in one write; a file
+def _csv(header: str, cols: Sequence[np.ndarray], *text: list[str]) -> Iterator[str]:
+    """CSV text, _CSV_BLOCK rows at a time so that no column is held as a list:
+    floats as repr, the shortest round-trip representation, then text columns."""
+    yield header + "\n"
+    for lo in range(0, len(cols[0]), _CSV_BLOCK):
+        block = slice(lo, lo + _CSV_BLOCK)
+        rows = zip(*(map(repr, col[block].tolist()) for col in cols),
+                   *(col[block] for col in text))
+        yield "\n".join(map(",".join, rows)) + "\n"
+
+
+def _emit(chunks: Iterable[str], out_path: str | None) -> None:
+    """Write text (UTF-8) to stdout or to a file, one write per chunk; a file
     that fails mid-write is removed rather than left partial."""
     if out_path is None:
-        sys.stdout.write("\n".join(lines) + "\n")
+        sys.stdout.writelines(chunks)
         return
     fh = None
     try:
         fh = open(out_path, "w", encoding="utf-8", newline="")
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(chunks)
         fh.close()
         fh = None
     except BaseException:
@@ -113,12 +125,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               file=sys.stderr)
     keep = batch.status == _OK
     refl, trans = batch.R[keep], batch.T[keep]
-    # repr is the shortest round-trip representation
-    cols = [map(repr, col.tolist())
-            for col in (energies[keep], refl, trans, refl + trans - 1.0)]
-    tokens = map(_TOKENS.__getitem__, batch.region[keep].tolist())
-    rows = map(",".join, zip(*cols, tokens))
-    _emit(itertools.chain(["E,R,T,unitarity_defect,region"], rows), args.out)
+    tokens = list(map(_TOKENS.__getitem__, batch.region[keep].tolist()))
+    _emit(_csv("E,R,T,unitarity_defect,region",
+               (energies[keep], refl, trans, refl + trans - 1.0), tokens), args.out)
     return 0
 
 
@@ -153,12 +162,9 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
         raise DkpScatterError("wavefunction needs xmin < xmax")
     xs = np.linspace(args.xmin, args.xmax, args.samples)
     psi, phi, theta = wave_profile(xs, args.kind, pot, par, args.E)
-    # repr is the shortest round-trip representation
-    cols = [map(repr, col.tolist()) for col in
-            (xs, psi.real, psi.imag, phi.real, phi.imag, theta.real, theta.imag)]
-    rows = map(",".join, zip(*cols))
-    _emit(itertools.chain(["x,re_psi,im_psi,re_phi,im_phi,re_theta,im_theta"],
-                          rows), args.out)
+    _emit(_csv("x,re_psi,im_psi,re_phi,im_phi,re_theta,im_theta",
+               (xs, psi.real, psi.imag, phi.real, phi.imag, theta.real, theta.imag)),
+          args.out)
     return 0
 
 

@@ -347,7 +347,8 @@ def connection_coefficients(k: KinematicParams) -> ConnectionCoefficients:
 
     Each is a ratio of Gamma functions evaluated in the log domain; a
     shared argument cancels exactly, so for a = 0 A = 1 and C = 0 exactly.
-    Raises PoleError when a numerator argument is at a pole."""
+    Raises PoleError when a numerator argument is at a pole, and RangeError
+    when A or C overflows."""
     hp = hypergeometric_parameters(k)
     a_num, a_den = 1.0 - hp.b1 + hp.a1, 1.0 - hp.c1 + hp.a1
     c_num, c_den = 1.0 - hp.a2 + hp.b2, 1.0 - hp.c2 + hp.b2

@@ -99,13 +99,11 @@ def wave_profile(xs: Sequence[float] | np.ndarray, kind: Kind, pot: Potential,
     amp, side, k, pa, pb, pc, lam, _ = _wave(kind, xs, pot, particle, energy)
     b, m = pot.b, particle.m
     u = np.exp(2.0 * side * b * xs)
-    f0, failure0 = _hyp2f1_batch(pa, pb, pc, -u)
-    f1, failure1 = _hyp2f1_batch(pa + 1, pb + 1, pc + 1, -u)
-    # raise as a loop over x would: the earliest x, and F before F1 at one x
-    failures = [(f[0], rank, f[1]) for rank, f in enumerate((failure0, failure1))
-                if f is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[:2])[2]
+    f0, failure = _hyp2f1_batch(pa, pb, pc, -u)
+    # raise as a loop over x would, F before F1 at one x: F1 stops at F's failure
+    f1, failure1 = _hyp2f1_batch(pa + 1, pb + 1, pc + 1, -u[:failure and failure[0]])
+    if failure1 or failure:
+        raise (failure1 or failure)[1]
     pref = amp * np.exp(2j * b * k * xs + lam * np.log1p(u))
     bracket = (1j * k + side * lam * (u / (1.0 + u))) * f0 \
         - side * (pa * pb / pc) * u * f1

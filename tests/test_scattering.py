@@ -217,6 +217,13 @@ class TestConnectionCoefficients:
         with pytest.raises(PoleError):
             connection_coefficients(kinematics(pot, particle, -4.0))
 
+    def test_overflow_raises(self):
+        # |A| is about e^3283 at (a, b, m, E) = (25, 0.002, 10, 0.8): cmath.exp of
+        # the log ratio raised a raw OverflowError
+        with pytest.raises(RangeError):
+            connection_coefficients(
+                kinematics(Potential(25.0, 0.002), Particle(10.0), 0.8))
+
     def test_one_evanescent_channel_full_reflection(self, pot, particle):
         cc = connection_coefficients(kinematics(pot, particle, 5.0))
         assert abs(abs(cc.C / cc.A) ** 2 - 1.0) <= 1e-13

@@ -142,8 +142,8 @@ class TestHyp2f1:
             if (c - a - b).real <= 0.05:
                 continue
             z = rng.uniform(-1.0, -0.5)
-            (direct,), _ = gauss_series(a, b, c, np.array([z]))
-            (mapped,), _ = pfaff_series(a, b, c, np.array([z]))
+            (direct,), _, _ = gauss_series(a, b, c, np.array([z]))
+            (mapped,), _, _ = pfaff_series(a, b, c, np.array([z]))
             assert abs(direct - mapped) <= 1e-9 * abs(direct)
             checked += 1
 
@@ -175,7 +175,7 @@ class TestHyp2f1:
 
     def test_cancellation_figure(self):
         # positive terms: the figure is max|term| / sum = 1 / F < 1
-        (value,), (cond,) = gauss_series(1.0, 1.0, 2.0, np.array([0.5]))
+        (value,), (cond,), _ = gauss_series(1.0, 1.0, 2.0, np.array([0.5]))
         assert abs(value - 2.0 * math.log(2.0)) <= 1e-15
         assert cond == 1.0 / abs(value)
         # F(-20, 1; 1; 0.9) = 0.1^20: terms of up to 7e4 cancel
@@ -215,25 +215,38 @@ class TestHyp2f1:
         with pytest.raises(RangeError):
             hyp2f1(-800.5 + 3j, 1.0, 1.5, -3.0)
 
+    def test_inversion_ratio_overflow_raises(self):
+        # Gamma(c) Gamma(b-a) / (Gamma(b) Gamma(c-a)) is about e^1879; the
+        # scalar cmath.exp raised a raw OverflowError
+        with pytest.raises(RangeError):
+            hyp2f1(0.5 - 600j, 1.7 - 600j, 1.0 + 600j, -2.0)
+
     def test_nan_figure_raises(self, monkeypatch):
         # a finite value whose figure is NaN must not pass the guard
         monkeypatch.setattr(_kernels, "gauss_series",
                             lambda a, b, c, z: (np.full(z.shape, 1.0 + 0.0j),
-                                                np.full(z.shape, math.nan)))
+                                                np.full(z.shape, math.nan), None))
         with pytest.raises(IllConditionedError):
             hyp2f1(0.5, 0.5, 1.5, 0.25)
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_batch_reports_first_failure(self, monkeypatch, seed):
+    @pytest.mark.parametrize("z", [
+        *(np.random.default_rng(seed).choice(
+            [0.1, 0.8, 0.95, -0.3, -0.7, -1.0, -2.0, -5.0, 1.5], 12)
+          for seed in range(6)),
+        # 280 z that pass, then a tail across the chunk edge whose -1.05 stops
+        # converging on the inversion side for the fourth set, ahead of the
+        # direct and Pfaff series' failures at 0.8 and -1.0
+        np.concatenate((np.tile([0.1, -0.3, -2.0, -5.0], 70),
+                        np.tile([-20.0, -1.05, -1.0, 0.8], 5)))],
+        ids=[*map(str, range(6)), "chunk_edge"])
+    def test_batch_reports_first_failure(self, monkeypatch, z):
         # with a 64-term cap the series at z = 0.8, 0.95 (and at some z for
-        # the third set) stop converging; mixed with cancelling, degenerate and
-        # out-of-domain z, the batch must report the first z at which hyp2f1
-        # raises, with its error, and hyp2f1's values before it
+        # the third and fourth sets) stop converging; mixed with cancelling,
+        # degenerate and out-of-domain z, the batch must report the first z at
+        # which hyp2f1 raises, with its error, and hyp2f1's values before it
         monkeypatch.setattr(_kernels, "MAX_SERIES_TERMS", 64)
-        rng = np.random.default_rng(seed)
-        z = rng.choice([0.1, 0.8, 0.95, -0.3, -0.7, -1.0, -2.0, -5.0, 1.5], 12)
         for a, b, c in ((-20.0, 1.0, 1.0), (1.5 + 1e-9, 0.5, 2.3),
-                        (2 + 8j, 1 - 8j, 1.5)):
+                        (2 + 8j, 1 - 8j, 1.5), (2 + 10j, 1.3, 1.5 + 10j)):
             values, failure = specfun._hyp2f1_batch(a, b, c, z)
             want = None
             for i, zi in enumerate(z):
@@ -245,6 +258,25 @@ class TestHyp2f1:
                 assert values[i] == value
             got = failure and (failure[0], type(failure[1]), str(failure[1]))
             assert got == want
+
+    def test_batch_stops_at_first_failing_chunk(self, monkeypatch):
+        # z = -2 fails the guard (the inversion terms cancel); under a 64-term
+        # cap the 0.95 from index _BLOCK_WIDTH on would not converge, and no
+        # series may run there once the first chunk holds a failure
+        monkeypatch.setattr(_kernels, "MAX_SERIES_TERMS", 64)
+        seen = []
+        inner = _kernels.gauss_series
+
+        def recorded(a, b, c, z):
+            seen.extend(z.tolist())
+            return inner(a, b, c, z)
+
+        monkeypatch.setattr(_kernels, "gauss_series", recorded)
+        width = _kernels._BLOCK_WIDTH
+        z = np.concatenate(([-2.0], np.full(width - 1, 0.1), np.full(width, 0.95)))
+        _, (i, error) = specfun._hyp2f1_batch(1.5 + 1e-9, 0.5, 2.3, z)
+        assert (i, type(error)) == (0, IllConditionedError)
+        assert 0.95 not in seen
 
     def test_shifted_parameters(self):
         # derivative-shifted parameter sets stay on the same dispatch

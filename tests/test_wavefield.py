@@ -306,6 +306,27 @@ class TestWaveProfile:
             wave_profile(xs, kind, Potential(a, b), Particle(m), energy)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("kind,params,xs,error,message", PROFILE_ERRORS)
+    def test_shifted_f_stops_where_f_fails(self, monkeypatch, kind, params, xs,
+                                           error, message):
+        # F1 only matters before F's first failure, so it runs over exactly
+        # the x ahead of it
+        calls = []
+        inner = wavefield._hyp2f1_batch
+
+        def recorded(a, b, c, z):
+            values, failure = inner(a, b, c, z)
+            calls.append((z.size, failure))
+            return values, failure
+
+        monkeypatch.setattr(wavefield, "_hyp2f1_batch", recorded)
+        a, b, m, energy = params
+        with pytest.raises(error):
+            wave_profile(xs, kind, Potential(a, b), Particle(m), energy)
+        (n0, failure0), (n1, _) = calls
+        assert n0 == len(xs)
+        assert n1 == (failure0[0] if failure0 else len(xs))
+
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(a=st.floats(2.0, 8.0), band=st.sampled_from(["I", "III"]),
            frac=st.floats(0.0, 1.0), q=st.floats(1.0, 3.0),
