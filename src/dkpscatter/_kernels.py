@@ -1,13 +1,13 @@
 """Kernels behind the special functions: complex log Gamma, the Gauss
-hypergeometric series and its Pfaff map, and the log-domain Gamma ratio of the
-connection coefficients.
+hypergeometric series, and the log-domain Gamma ratio of the connection
+coefficients.
 
 Log Gamma and the Gamma ratio are plain Python on complex scalars and raise
-the package's typed errors.  The two series run over an array of real
-arguments at once and raise nothing: they return their sums, each sum's
-cancellation figure max|term| / |sum| (its relative rounding error over the
-unit roundoff, which :func:`dkpscatter.specfun.hyp2f1` bounds) and their
-first non-convergence, for the caller to rank.
+the package's typed errors.  The series runs over an array of real arguments
+at once and raises nothing: it returns its sums, each sum's cancellation
+figure max|term| / |sum| (its relative rounding error over the unit roundoff,
+which :func:`dkpscatter.specfun.hyp2f1` bounds) and its first
+non-convergence, for the caller to rank.
 """
 
 from __future__ import annotations
@@ -127,18 +127,6 @@ def gauss_series(a: complex, b: complex, c: complex, z: np.ndarray) -> tuple[
         t_max, quiet = t_maxes[-1, keep], runs[-1, keep]
     return values, figures, (int(live[0]), NonConvergenceError(
         f"hyp2f1 series did not converge for ({a}, {b}, {c}, {float(z[live[0]])})"))
-
-
-def pfaff_series(a: complex, b: complex, c: complex, z: np.ndarray) -> tuple[
-        np.ndarray, np.ndarray, tuple[int, NonConvergenceError] | None]:
-    """F(a,b;c;z) via the Pfaff map w = z/(z-1), at every z of an array in
-    [-1, 0), and the cancellation figures and failure of the mapped series.
-
-    The mapped arguments lie in [0, 1/2], where the series converges fast.
-    """
-    z = np.asarray(z, dtype=float)
-    s, cond, failure = gauss_series(a, c - b, c, z / (z - 1.0))
-    return np.exp(-a * np.log(1.0 - z)) * s, cond, failure
 
 
 def _coeff_ratio(n1: complex, n2: complex, d1: complex, d2: complex) -> complex:

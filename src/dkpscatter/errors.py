@@ -23,8 +23,8 @@ class IllConditionedError(DkpScatterError):
 
 
 class DegenerateParametersError(DkpScatterError):
-    """Hypergeometric parameter difference a-b is integer where the inversion
-    formula needs it nonintegral."""
+    """Hypergeometric parameter difference a-b is integer where the
+    connection formula for z < -1 needs it nonintegral."""
 
 
 class BoundaryEnergyError(DkpScatterError):

@@ -23,7 +23,7 @@ from dkpscatter import (
     log_gamma,
 )
 from dkpscatter import _kernels, specfun
-from dkpscatter._kernels import gauss_series, pfaff_series
+from dkpscatter._kernels import gauss_series
 
 # Reference values frozen from 40-digit arbitrary-precision evaluation.
 LOG_GAMMA_TABLE = {
@@ -92,8 +92,8 @@ class TestLogGamma:
         assert abs(math.exp(2.0 * log_ratio.real) - 50.0) <= 50.0 * 1e-12
 
 
-# (a, b, c, z) -> F frozen from 40-digit evaluation; first three exercise the
-# z < -1 inversion path with the scattering parameter families.
+# (a, b, c, z) -> F frozen from 40-digit evaluation; first four exercise the
+# z < -1 connection formula with the scattering parameter families.
 HYP_TABLE = [
     (complex(0.5, 3.294266991616996), complex(0.5, 3.871617260806622),
      complex(1.0, 3.986086914367133), -7.38905609893065,
@@ -104,6 +104,10 @@ HYP_TABLE = [
     (complex(0.5, 3.294266991616996), complex(0.5, 3.871617260806622),
      complex(1.0, 3.986086914367133), -65659969.13733051,
      complex(-0.00037674918897920057, -0.00011071892455322775)),
+    (complex(1.000000000000003, 52.33040670628998),
+     complex(1.000000000000003, -2.3404077064900335),
+     complex(2.000000000000006, 0.0), -1.5,
+     complex(-0.003833675440649728, 0.004947204696776305)),
     (complex(0.3, 0.2), complex(1.1, -0.4), complex(2.5, 0.0), -0.75,
      complex(0.9039625970559737, -0.024108983018731735)),
     (complex(0.5, 0.0), complex(1.5, 0.0), complex(2.25, 0.0), 0.8,
@@ -143,7 +147,7 @@ class TestHyp2f1:
                 continue
             z = rng.uniform(-1.0, -0.5)
             (direct,), _, _ = gauss_series(a, b, c, np.array([z]))
-            (mapped,), _, _ = pfaff_series(a, b, c, np.array([z]))
+            mapped = hyp2f1(a, b, c, z)  # the Pfaff branch
             assert abs(direct - mapped) <= 1e-9 * abs(direct)
             checked += 1
 
@@ -180,9 +184,6 @@ class TestHyp2f1:
         assert cond == 1.0 / abs(value)
         # F(-20, 1; 1; 0.9) = 0.1^20: terms of up to 7e4 cancel
         assert gauss_series(-20.0, 1.0, 1.0, np.array([0.9]))[1][0] > 1e15
-        # the Pfaff map carries the figure of its inner series
-        assert pfaff_series(0.5, 0.25, 2.0, np.array([-0.8]))[1][0] == gauss_series(
-            0.5, 1.75, 2.0, np.array([-0.8 / (-0.8 - 1.0)]))[1][0]
 
     def test_series_cancellation_raises(self):
         with pytest.raises(IllConditionedError):
@@ -277,6 +278,25 @@ class TestHyp2f1:
         _, (i, error) = specfun._hyp2f1_batch(1.5 + 1e-9, 0.5, 2.3, z)
         assert (i, type(error)) == (0, IllConditionedError)
         assert 0.95 not in seen
+
+    def test_far_side_one_series_per_term_per_chunk(self, monkeypatch):
+        # z < -1 on both sides of -2: each of the two far terms runs one Gauss
+        # series per chunk, at w = 1/(1-z) in (0, 1/2]
+        calls = []
+        inner = _kernels.gauss_series
+
+        def recorded(a, b, c, z):
+            calls.append(z)
+            return inner(a, b, c, z)
+
+        monkeypatch.setattr(_kernels, "gauss_series", recorded)
+        width = _kernels._BLOCK_WIDTH
+        a, b, c, _, _ = HYP_TABLE[0]
+        z = -np.geomspace(1.01, 100.0, width + 44)
+        _, failure = specfun._hyp2f1_batch(a, b, c, z)
+        assert failure is None
+        assert [w.size for w in calls] == [width, width, 44, 44]
+        assert all(((w > 0.0) & (w <= 0.5)).all() for w in calls)
 
     def test_shifted_parameters(self):
         # derivative-shifted parameter sets stay on the same dispatch

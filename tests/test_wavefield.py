@@ -215,7 +215,7 @@ PROFILE_ERRORS = [
     ("transmitted", BAND_TWO, BAND_TWO_XS, IllConditionedError,
      "hyp2f1((1.000000000000003+52.33040670628998j), "
      "(1.000000000000003-2.3404077064900335j), (2.000000000000006+0j), "
-     "-3.144731909812358) loses digits to cancellation (figure 1.2e+07 > 1e+06)"),
+     "-0.9801001658274844) loses digits to cancellation (figure 9.7e+11 > 1e+06)"),
     ("incident", (5.0, 3.0, 1.0, 7.0), [float(x) for x in range(101)],
      IllConditionedError,
      "hyp2f1((1.5+3.294266991616996j), (1.5+3.871617260806622j), "
@@ -449,3 +449,28 @@ class TestConditioningGuard:
         for kind in ("incident", "reflected"):
             for x in (-2.0, 1.0, 3.0):
                 _right_or_raises(kind, 5.0, 0.2, energy, x)
+
+
+class TestFarSide:
+    # the transmitted wave's far side, z = -e^{-2bx} < -1, runs the two-term
+    # connection formula at 1/(1-z); these waves exist and must not raise
+    def test_band_two_transmitted(self):
+        a, b, m, energy = BAND_TWO
+        xs = np.linspace(-10.0, -0.1, 100)
+        psi, _, theta = wave_profile(xs, "transmitted", Potential(a, b),
+                                     Particle(m), energy)
+        for x, got_psi, got_theta in zip(xs, psi, theta):
+            ref_psi, ref_theta = _mpmath_wave("transmitted", a, b, m, energy, x)
+            assert abs(got_psi - ref_psi) <= 1e-10 * abs(ref_psi)
+            assert abs(got_theta - ref_theta) <= 1e-10 * abs(ref_theta)
+
+    def test_small_b_transmitted(self):
+        # |nu| is about 2e3 at b = 0.003
+        xs = (-1000.0, -800.0, -500.0, -200.0)
+        psi, _, theta = wave_profile(xs, "transmitted", Potential(5.0, 0.003),
+                                     Particle(1.0), 7.0)
+        for x, got_psi, got_theta in zip(xs, psi, theta):
+            ref_psi, ref_theta = _mpmath_wave("transmitted", 5.0, 0.003, 1.0,
+                                              7.0, x)
+            assert abs(got_psi - ref_psi) <= 1e-11 * abs(ref_psi)
+            assert abs(got_theta - ref_theta) <= 1e-11 * abs(ref_theta)
