@@ -38,6 +38,7 @@ from .scattering import (
     Potential,
     Region,
     ScatteringResult,
+    ScatteringTable,
     StepRT,
     classify_region,
     connection_coefficients,
@@ -46,6 +47,7 @@ from .scattering import (
     hypergeometric_parameters,
     kinematics,
     scattering_coefficients,
+    scattering_table,
     step_rt,
 )
 from .specfun import hyp2f1, log_gamma
@@ -96,6 +98,7 @@ __all__ = [
     "ScatteringResult",
     "Currents",
     "StepRT",
+    "ScatteringTable",
     "BOUNDARY_EPS",
     "critical_energies",
     "kinematics",
@@ -103,6 +106,7 @@ __all__ = [
     "hypergeometric_parameters",
     "connection_coefficients",
     "scattering_coefficients",
+    "scattering_table",
     "currents",
     "step_rt",
     # wavefield

@@ -31,6 +31,7 @@ _S7 = 1.0 / 156.0
 _S8 = -3617.0 / 122400.0
 
 _HALF_LOG_TWO_PI = 0.9189385332046727
+_LOG_PI = math.log(math.pi)
 
 MAX_SERIES_TERMS = 100_000
 
@@ -54,12 +55,25 @@ def _near_nonpositive_int(z: complex) -> bool:
 def lgamma_c(z: complex) -> complex:
     """Principal-branch log Gamma for complex z off the nonpositive integers.
 
-    Recurrence shift into Re(w) >= 12 followed by the Stirling series.
-    Subtracting principal logs preserves the principal branch: both sides are
-    analytic off (-inf, 0] and agree on the positive real axis.  On the
-    negative real axis the value is the limit from the upper half plane
-    (the convention of cmath.log).
+    For Re z >= 1/2, a recurrence shift into Re(w) >= 12 and the Stirling
+    series; subtracting principal logs keeps the principal branch.  For
+    Re z < 1/2, in constant time, log pi - L(z) - log Gamma(1-z) on Im z >= 0
+    (reflection) and conjugate symmetry below: L(n + r) = Log sin(pi r) - i pi n,
+    n an integer and Re r in [-1/2, 1/2), is the branch of log sin(pi z)
+    analytic on Im z > 0 and 0 at z = 1/2; above Im r = 1, where sin(pi r) may
+    overflow, Log sin(pi r) = Log(1 - e^{2 pi i r}) - i pi r + i pi/2 - log 2.
+    On the negative real axis the value is the limit from the upper half plane.
     """
+    if z.real < 0.5:
+        if z.imag < 0.0:
+            return lgamma_c(z.conjugate()).conjugate()
+        n = math.floor(z.real + 0.5)
+        # a zero imaginary part as +0.0, the side sin(pi r) and its Log take
+        r = complex(z.real - n, abs(z.imag))
+        log_sin = cmath.log(cmath.sin(math.pi * r)) if r.imag <= 1.0 else \
+            cmath.log(1.0 - cmath.exp(2j * math.pi * r)) - 1j * math.pi * r \
+            + complex(-math.log(2.0), 0.5 * math.pi)
+        return _LOG_PI - log_sin + 1j * math.pi * n - lgamma_c(1.0 - z)
     n = 0
     if z.real < 12.0:
         n = int(math.ceil(12.0 - z.real))

@@ -18,28 +18,21 @@ import numpy as np
 
 from . import __version__
 from .algebra import beta_matrices, trilinear_residual
-from .errors import DkpScatterError
+from .errors import BoundaryEnergyError, DkpScatterError
 from .oracle import numeric_rt
 from .scattering import (
     BOUNDARY_EPS,
     Particle,
     Potential,
-    Region,
+    ScatteringTable,
     classify_region,
-    _GUARDED,
-    _OK,
-    _REGIONS,
-    _scattering_batch,
     critical_energies,
-    scattering_coefficients,
+    scattering_table,
     step_rt,
 )
 from .wavefield import Kind, component_residuals, wave_profile
 
 __all__ = ["main"]
-
-# CSV token of each region code of a batch
-_TOKENS = [region.token for region in _REGIONS]
 
 _CSV_BLOCK = 4096
 
@@ -54,7 +47,7 @@ def _fmt12(value: complex | float) -> str:
     return f"{value:.12g}"
 
 
-def _csv(header: str, cols: Sequence[np.ndarray], *text: list[str]) -> Iterator[str]:
+def _csv(header: str, cols: Sequence[np.ndarray], *text: np.ndarray) -> Iterator[str]:
     """CSV text, _CSV_BLOCK rows at a time so that no column is held as a list:
     floats as repr, the shortest round-trip representation, then text columns."""
     yield header + "\n"
@@ -85,23 +78,22 @@ def _emit(chunks: Iterable[str], out_path: str | None) -> None:
         raise
 
 
-def _pot(args: argparse.Namespace) -> Potential:
-    return Potential(a=args.a, b=args.b)
-
-
-def _particle(args: argparse.Namespace) -> Particle:
-    return Particle(m=args.m)
+def _table(pot: Potential, par: Particle, energies: Sequence[float]) -> ScatteringTable:
+    """scattering_table, raising the error of its first energy that is not ok."""
+    table = scattering_table(pot, par, energies)
+    if not table.ok.all():
+        raise table.error(int(np.argmin(table.ok)))
+    return table
 
 
 def _cmd_point(args: argparse.Namespace) -> int:
-    pot, par = _pot(args), _particle(args)
-    batch = _scattering_batch(pot, par, np.array([args.E], float))
-    region, k = batch.one(args.E)
-    refl, trans = float(batch.R[0]), float(batch.T[0])
+    pot, par = Potential(args.a, args.b), Particle(args.m)
+    table = _table(pot, par, (args.E,))
+    refl, trans = table.R[0].item(), table.T[0].item()
     print(f"E = {_fmt12(args.E)}")
-    print(f"region = {region.token}")
-    print(f"nu = {_fmt12(k.nu)}")
-    print(f"mu = {_fmt12(k.mu)}")
+    print(f"region = {table.region[0].token}")
+    print(f"nu = {_fmt12(table.nu[0].item())}")
+    print(f"mu = {_fmt12(table.mu[0].item())}")
     print(f"R = {_fmt12(refl)}")
     print(f"T = {_fmt12(trans)}")
     print(f"R+T-1 = {_fmt12(refl + trans - 1.0)}")
@@ -109,30 +101,30 @@ def _cmd_point(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    pot, par = _pot(args), _particle(args)
+    pot, par = Potential(args.a, args.b), Particle(args.m)
     if args.steps < 2:
         raise DkpScatterError("sweep needs at least 2 steps")
     if not args.emin < args.emax:
         raise DkpScatterError("sweep needs emin < emax")
     energies = np.linspace(args.emin, args.emax, args.steps)
-    batch = _scattering_batch(pot, par, energies)
-    # skip lines in grid order, up to the first energy with a typed error
-    for i in np.flatnonzero(batch.status != _OK).tolist():
-        energy = float(energies[i])
-        if batch.status[i] != _GUARDED:
-            raise batch.error(i, energy)
-        print(f"skipping E = {_fmt12(energy)}: within boundary guard",
+    table = scattering_table(pot, par, energies)
+    # skip lines in grid order, up to the first energy with another error
+    for i in np.flatnonzero(~table.ok).tolist():
+        err = table.error(i)
+        if not isinstance(err, BoundaryEnergyError):
+            raise err
+        print(f"skipping E = {_fmt12(float(energies[i]))}: within boundary guard",
               file=sys.stderr)
-    keep = batch.status == _OK
-    refl, trans = batch.R[keep], batch.T[keep]
-    tokens = list(map(_TOKENS.__getitem__, batch.region[keep].tolist()))
+    keep = table.ok
+    refl, trans = table.R[keep], table.T[keep]
     _emit(_csv("E,R,T,unitarity_defect,region",
-               (energies[keep], refl, trans, refl + trans - 1.0), tokens), args.out)
+               (energies[keep], refl, trans, refl + trans - 1.0), table.token[keep]),
+          args.out)
     return 0
 
 
 def _cmd_regions(args: argparse.Namespace) -> int:
-    pot, par = _pot(args), _particle(args)
+    pot, par = Potential(args.a, args.b), Particle(args.m)
     crits = critical_energies(pot, par)
     print("boundaries: " + " ".join(_fmt12(c) for c in crits))
     spanr = max(1.0, par.m)
@@ -155,7 +147,7 @@ def _cmd_regions(args: argparse.Namespace) -> int:
 
 
 def _cmd_wavefunction(args: argparse.Namespace) -> int:
-    pot, par = _pot(args), _particle(args)
+    pot, par = Potential(args.a, args.b), Particle(args.m)
     if args.samples < 2:
         raise DkpScatterError("wavefunction needs at least 2 samples")
     if not args.xmin < args.xmax:
@@ -166,12 +158,6 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
                (xs, psi.real, psi.imag, phi.real, phi.imag, theta.real, theta.imag)),
           args.out)
     return 0
-
-
-def _flipped_mu_rt(pot: Potential, par: Particle, energy: float):
-    # debug path: negating mu turns the closed form's (R, T) into (1/R, -T/R)
-    res = scattering_coefficients(pot, par, energy)
-    return 1.0 / res.R, -res.T / res.R
 
 
 class _Verifier:
@@ -191,39 +177,29 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     v = _Verifier()
     quick = args.quick
 
-    grids = {
-        Region.I: np.linspace(6.2, 9.8, 8 if quick else 40),
-        Region.III: np.linspace(-3.8, 3.8, 8 if quick else 40),
-        Region.V: np.linspace(-9.8, -6.2, 8 if quick else 40),
-    }
-    worst = 0.0
-    for energies in grids.values():
-        for energy in energies:
-            res = scattering_coefficients(pot, par, float(energy))
-            worst = max(worst, abs(res.unitarity_defect))
+    n = 8 if quick else 40
+    table = _table(pot, par, np.concatenate([np.linspace(lo, hi, n) for lo, hi in (
+        (6.2, 9.8), (-3.8, 3.8), (-9.8, -6.2))]))
+    worst = float(np.abs(table.R + table.T - 1.0).max())
     v.check("unitarity", worst <= 1e-10,
             f"max |R+T-1| = {worst:.3e} over propagating bands (limit 1e-10)")
 
     energies = (2.5, 7.0) if quick else (1.5, 2.5, 3.5, 0.0, -2.0, 6.5, 7.0, 8.5)
-    worst = 0.0
-    for energy in energies:
-        num = numeric_rt(pot, par, energy)
-        if args.flip_mu_sign:
-            refl, trans = _flipped_mu_rt(pot, par, energy)
-        else:
-            res = scattering_coefficients(pot, par, energy)
-            refl, trans = res.R, res.T
-        worst = max(worst, abs(refl - num.R), abs(trans - num.T))
+    table = _table(pot, par, energies)
+    refl, trans = table.R, table.T
+    if args.flip_mu_sign:
+        # debug path: negating mu turns the closed form's (R, T) into (1/R, -T/R)
+        refl, trans = 1.0 / refl, -trans / refl
+    num = [numeric_rt(pot, par, energy) for energy in energies]
+    worst = np.abs(np.array([refl, trans]).T - [(n.R, n.T) for n in num]).max()
     v.check("oracle-equivalence", worst <= 1e-6,
             f"max |analytic - integrated| = {worst:.3e} over {len(energies)} "
             "energies (limit 1e-6)")
 
-    worst = 0.0
-    sharp = Potential(a=5.0, b=1e4)
-    for energy in (2.5, 7.0) if quick else (2.5, 3.0, 7.0, 8.0):
-        res = scattering_coefficients(sharp, par, energy)
-        ref = step_rt(5.0, 1.0, energy)
-        worst = max(worst, abs(res.R - ref.R), abs(res.T - ref.T))
+    energies = (2.5, 7.0) if quick else (2.5, 3.0, 7.0, 8.0)
+    table = _table(Potential(a=5.0, b=1e4), par, energies)
+    ref = [step_rt(5.0, 1.0, energy) for energy in energies]
+    worst = np.abs(np.array([table.R, table.T]).T - [(r.R, r.T) for r in ref]).max()
     v.check("step-limit", worst <= 1e-4,
             f"max |tanh(b=1e4) - sharp step| = {worst:.3e} (limit 1e-4)")
 
@@ -247,11 +223,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"full (r_phi={res_full.r_phi:.1e}, r_theta={res_full.r_theta:.2e}, "
             f"r_kg={res_full.r_kg:.2e})")
 
-    r2 = scattering_coefficients(pot, par, 5.0)
-    r4 = scattering_coefficients(pot, par, -5.0)
-    ok = r2.R == 1.0 and r2.T == 0.0 and r4.R == 1.0 and r4.T == 0.0
-    v.check("evanescent-bands", ok,
-            f"region II (R,T)=({r2.R},{r2.T}), region IV (R,T)=({r4.R},{r4.T})")
+    table = _table(pot, par, (5.0, -5.0))
+    (r2, r4), (t2, t4) = table.R.tolist(), table.T.tolist()
+    v.check("evanescent-bands", r2 == 1.0 and t2 == 0.0 and r4 == 1.0 and t4 == 0.0,
+            f"region II (R,T)=({r2},{t2}), region IV (R,T)=({r4},{t4})")
 
     total = 6
     if v.failures:

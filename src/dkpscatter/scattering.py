@@ -9,7 +9,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
     "ScatteringResult",
     "Currents",
     "StepRT",
+    "ScatteringTable",
     "BOUNDARY_EPS",
     "critical_energies",
     "kinematics",
@@ -40,6 +41,7 @@ __all__ = [
     "hypergeometric_parameters",
     "connection_coefficients",
     "scattering_coefficients",
+    "scattering_table",
     "currents",
     "step_rt",
 ]
@@ -160,11 +162,12 @@ def critical_energies(pot: Potential, particle: Particle) -> tuple[float, ...]:
     return tuple(sorted((-a - m, -a + m, a - m, a + m)))
 
 
-# Status of each energy of a batch: its R and T hold, or the typed error the
-# scalar entry points raise there (see _Batch.error)
+# Status of each energy of a table: its R and T hold, or the typed error the
+# scalar entry points raise there (see ScatteringTable.error)
 _OK, _GUARDED, _NON_FINITE, _KINEMATICS_RANGE, _RT_RANGE = range(5)
-# a batch's region codes index this tuple
-_REGIONS = tuple(Region)
+# a table's region codes index these arrays
+_REGIONS = np.array(tuple(Region), dtype=object)
+_TOKENS = np.array([region.token for region in Region], dtype=object)
 _I, _II, _III, _IV, _V, _BOUNDARY = range(len(_REGIONS))
 # region code by [sign(nu), sign(mu)], a sign of -1 indexing the last entry:
 # both real with the same sign I (positive) or V (negative), opposite signs
@@ -175,10 +178,6 @@ _SIGN_REGIONS = np.array([[_BOUNDARY, _IV, _IV], [_II, _I, _III], [_II, _III, _V
 def _lam_underflows(b: float) -> bool:
     # lam needs b*b - 4a*a, which has lost its digits once b*b underflows
     return b * b < sys.float_info.min
-
-
-def _b_underflow_error(b: float) -> RangeError:
-    return RangeError(f"b*b underflows at b={b}")
 
 
 def _kinematics(pot: Potential, particle: Particle,
@@ -212,30 +211,41 @@ def kinematics(pot: Potential, particle: Particle, energy: float) -> KinematicPa
     boundary guard is applied here.  Raises RangeError when b*b underflows,
     since lam needs b*b - 4a*a, which then loses its digits."""
     if _lam_underflows(pot.b):
-        raise _b_underflow_error(pot.b)
+        raise RangeError(f"b*b underflows at b={pot.b}")
     with np.errstate(all="ignore"):
         nu_mu, lam = _kinematics(pot, particle, np.array([energy], float))
     return KinematicParams(complex(nu_mu[0, 0]), complex(nu_mu[1, 0]), lam)
 
 
-class _Batch(NamedTuple):
-    """The energy decision over an energy array (see _decide), and R and T
-    once _scattering_batch has run: a status and a region code per energy,
-    the kinematics (nu and mu as the rows of nu_mu, lam shared)."""
+@dataclass(frozen=True, eq=False)
+class ScatteringTable:
+    """R and T over an energy array, as :func:`scattering_table` decides them.
+
+    Per energy: the band (BOUNDARY where guarded) and its token, nu and mu,
+    R and T, and ok, which is True where R and T hold; lam is shared.  Where
+    ok is False, error(i) is the typed error scattering_coefficients raises
+    at energy[i], and R and T hold no value."""
 
     pot: Potential
     particle: Particle
-    status: np.ndarray
+    energy: np.ndarray
     region: np.ndarray
-    nu_mu: np.ndarray
+    token: np.ndarray
+    nu: np.ndarray
+    mu: np.ndarray
     lam: complex
-    R: np.ndarray | None = None
-    T: np.ndarray | None = None
+    R: np.ndarray
+    T: np.ndarray
+    ok: np.ndarray
+    _status: np.ndarray
 
-    def error(self, i: int, energy: float) -> DkpScatterError | None:
-        """The typed error of element i, None where its status is ok; energy
-        is the element's value as the caller gave it, for the message."""
-        status = self.status[i]
+    def error(self, i: int) -> DkpScatterError | None:
+        """The typed error at energy i, None where it is ok."""
+        return self._error(i, self.energy[i].item())
+
+    def _error(self, i: int, energy: float) -> DkpScatterError | None:
+        # energy is the value as the caller of a scalar entry point gave it
+        status = self._status[i]
         if status == _OK:
             return None
         if status == _GUARDED:
@@ -246,61 +256,24 @@ class _Batch(NamedTuple):
             return InvalidParameterError(f"energy must be finite, got {energy}")
         if status == _KINEMATICS_RANGE:
             if _lam_underflows(self.pot.b):
-                return _b_underflow_error(self.pot.b)
+                return RangeError(f"b*b underflows at b={self.pot.b}")
             return RangeError(
                 f"kinematics out of floating-point range at E={energy}, "
                 f"a={self.pot.a}, b={self.pot.b}, m={self.particle.m}")
-        nu, mu = self.nu_mu.real[:, i].tolist()
-        return RangeError(f"R and T not representable at nu={nu}, mu={mu}")
-
-    def one(self, energy: float) -> tuple[Region, KinematicParams]:
-        """Region and kinematics of a batch of one; raises its typed error."""
-        err = self.error(0, energy)
-        if err is not None:
-            raise err
-        k = KinematicParams(complex(self.nu_mu[0, 0]), complex(self.nu_mu[1, 0]),
-                            self.lam)
-        return _REGIONS[self.region[0]], k
-
-
-def _decide(pot: Potential, particle: Particle, energy: np.ndarray) -> _Batch:
-    """The energy decision of every entry point over an energy array, with
-    kinematics computed once (call under np.errstate(all="ignore")).
-
-    The band follows the reality pattern of (nu, mu), whose real parts are
-    zero exactly in an evanescent channel (see _SIGN_REGIONS).  The status
-    is, by precedence: non-finite energy; nu, mu or lam out of the
-    floating-point range, or b*b underflowing; guarded, within BOUNDARY_EPS
-    of a threshold or where neither channel propagates (the gap, possible
-    only for |a| < m); ok."""
-    nu_mu, lam = _kinematics(pot, particle, energy)
-    real = nu_mu.real
-    sign = np.subtract(real > 0.0, real < 0.0, dtype=np.int8)
-    region = _SIGN_REGIONS[sign[0], sign[1]]
-    distance = np.abs(np.subtract.outer(critical_energies(pot, particle), energy))
-    status = np.where((region == _BOUNDARY) | (distance.min(axis=0) <= BOUNDARY_EPS),
-                      _GUARDED, _OK)
-    if _lam_underflows(pot.b) or not cmath.isfinite(lam):
-        status[:] = _KINEMATICS_RANGE
-    else:
-        status[~np.isfinite(nu_mu).all(axis=0)] = _KINEMATICS_RANGE
-    status[~np.isfinite(energy)] = _NON_FINITE
-    return _Batch(pot, particle, status, region, nu_mu, lam)
-
-
-def _decide_one(pot: Potential, particle: Particle, energy: float) -> _Batch:
-    with np.errstate(all="ignore"):
-        return _decide(pot, particle, np.array([energy], float))
+        return RangeError(f"R and T not representable at nu={float(self.nu[i].real)}, "
+                          f"mu={float(self.mu[i].real)}")
 
 
 def _band(pot: Potential, particle: Particle,
           energy: float) -> tuple[Region, KinematicParams]:
-    """Band label and kinematics at one energy, the decision of _decide on a
-    batch of one.  Raises InvalidParameterError for a non-finite energy,
-    RangeError when nu, mu or lam leave the floating-point range, and
-    BoundaryEnergyError within BOUNDARY_EPS of a threshold or where neither
-    channel propagates."""
-    return _decide_one(pot, particle, energy).one(energy)
+    """Band and kinematics at one energy, from scattering_table.  Raises the
+    error scattering_coefficients raises there, except where only R and T
+    are not representable."""
+    table = scattering_table(pot, particle, (energy,))
+    if table._status[0] != _RT_RANGE and not table.ok[0]:
+        raise table._error(0, energy)
+    return table.region[0], KinematicParams(table.nu[0].item(), table.mu[0].item(),
+                                            table.lam)
 
 
 def _incident_kinematics(pot: Potential, particle: Particle,
@@ -322,10 +295,10 @@ def classify_region(pot: Potential, particle: Particle, energy: float) -> Region
     I, both negative V, opposite signs III; only nu real II; only mu real IV.
     Raises InvalidParameterError for a non-finite energy and RangeError where
     the kinematics leave the floating-point range."""
-    batch = _decide_one(pot, particle, energy)
-    if batch.status[0] == _GUARDED:
+    try:
+        return _band(pot, particle, energy)[0]
+    except BoundaryEnergyError:
         return Region.BOUNDARY
-    return batch.one(energy)[0]
 
 
 def hypergeometric_parameters(k: KinematicParams) -> HypergeometricParams:
@@ -381,19 +354,21 @@ def _propagating_rt(nu_mu: np.ndarray, lam: complex, a: float,
     min(p, q), so that both sinh terms and T share one scale factor and
     R + T = 1 holds to rounding.  For a = 0 (lam = 1, nu = mu) R = 0 and
     T = 1 come out exactly.  R and T are representable where the
-    denominator is a normal number: then a term rounded in the subnormal
-    range moves R and T by at most an ulp of max(1, |R|, |T|).  They are
-    not where S and the sinh^2 term both underflow, which takes nu +- mu
-    and 1 - lam below about 1e-154, nor where a subnormal S is the whole
-    denominator, nor where the rounding error of the exponents, about
-    2 pi big 2^-52, reaches 1 (big above about 7.2e14): R and T then keep
-    no correct digit.  Call under np.errstate(all="ignore") with a finite
-    lam."""
+    denominator is a normal number (it is not once nu +- mu and 1 - lam fall
+    below about 1e-154), and where the exponents' rounding error, about
+    2 pi big 2^-52, stays below 1 or below the gap 2 pi |kappa - (p + q)|
+    between S and the sinh terms; past both, the smaller side reaches R and
+    T off by a factor of e or more (at E = 4.3e15 on (a, b, m) = (5, 3, 1),
+    S is 0 and R = 0, T = 1 hold).  Call under np.errstate(all="ignore")
+    with a finite lam."""
     p_q = np.abs(nu_mu.real)
     p, q = p_q
     kappa = lam.imag
     p_plus_q = p + q
     big = np.maximum(p_plus_q, kappa)
+    # 2 pi big 2^-52 below max(1, the gap), on 1/(2 pi) of both sides
+    resolved = big * sys.float_info.epsilon \
+        < np.maximum(np.abs(kappa - p_plus_q), 1.0 / _TWO_PI)
     scale = np.exp(_TWO_PI * (p_plus_q - big))
     e_sum = np.expm1(-_TWO_PI * p_plus_q)
     e_diff = np.expm1(-_TWO_PI * np.abs(p - q))
@@ -416,29 +391,47 @@ def _propagating_rt(nu_mu: np.ndarray, lam: complex, a: float,
     den = s + np.where(same_sign, sh_sum, sh_diff)
     refl = (s + np.where(same_sign, sh_diff, sh_sum)) / den
     trans = np.where(same_sign, prod, -prod) / den
-    representable = (den >= sys.float_info.min) \
-        & (_TWO_PI * big * sys.float_info.epsilon < 1.0)
-    return refl, trans, representable
+    return refl, trans, (den >= sys.float_info.min) & resolved
 
 
-def _scattering_batch(pot: Potential, particle: Particle,
-                      energy: np.ndarray) -> _Batch:
-    """scattering_coefficients over an energy array: the decision of _decide,
-    R and T (exactly 1 and 0 in bands II and IV), and the status of the
-    energies whose R and T are not representable."""
+def scattering_table(pot: Potential, particle: Particle,
+                     energies: Sequence[float] | np.ndarray) -> ScatteringTable:
+    """R and T at every energy of a 1-d array in one numpy pass: the energy
+    decision of every entry point (bands as in classify_region).
+
+    An energy is not ok, by precedence, where it is not finite
+    (InvalidParameterError); where nu, mu or lam leave the floating-point
+    range or b*b underflows (RangeError); within BOUNDARY_EPS of a threshold
+    or where neither channel propagates (BoundaryEnergyError, band BOUNDARY);
+    where R and T are not representable (RangeError, see _propagating_rt).
+    In bands II and IV, R and T are exactly 1 and 0."""
+    energy = np.asarray(energies, dtype=float)
+    if energy.ndim != 1:
+        raise InvalidParameterError(f"energies must be 1-d, got shape {energy.shape}")
     with np.errstate(all="ignore"):
-        batch = _decide(pot, particle, energy)
-        ok = batch.status == _OK
-        if not ok.any():
+        nu_mu, lam = _kinematics(pot, particle, energy)
+        region = _SIGN_REGIONS[tuple(np.subtract(nu_mu.real > 0.0, nu_mu.real < 0.0,
+                                                 dtype=np.int8))]
+        status = np.where((region == _BOUNDARY) | (np.abs(np.subtract.outer(
+            critical_energies(pot, particle), energy)).min(axis=0) <= BOUNDARY_EPS),
+            _GUARDED, _OK)
+        region[status == _GUARDED] = _BOUNDARY
+        if _lam_underflows(pot.b) or not cmath.isfinite(lam):
+            status[:] = _KINEMATICS_RANGE
+        else:
+            status[~np.isfinite(nu_mu).all(axis=0)] = _KINEMATICS_RANGE
+        status[~np.isfinite(energy)] = _NON_FINITE
+        ok = status == _OK
+        evanescent = (region == _II) | (region == _IV)
+        if ok.any():
+            refl, trans, representable = _propagating_rt(nu_mu, lam, pot.a, pot.b)
+            status[ok & ~(evanescent | representable)] = _RT_RANGE
+        else:
             # lam may be out of range, and the R/T formula needs it finite
-            nan = np.full(energy.shape, math.nan)
-            return batch._replace(R=nan, T=nan)
-        refl, trans, representable = _propagating_rt(batch.nu_mu, batch.lam,
-                                                      pot.a, pot.b)
-    evanescent = (batch.region == _II) | (batch.region == _IV)
-    batch.status[ok & ~(evanescent | representable)] = _RT_RANGE
-    return batch._replace(R=np.where(evanescent, 1.0, refl),
-                          T=np.where(evanescent, 0.0, trans))
+            refl = trans = np.full(energy.shape, math.nan)
+    return ScatteringTable(pot, particle, energy, _REGIONS[region], _TOKENS[region],
+                           nu_mu[0], nu_mu[1], lam, np.where(evanescent, 1.0, refl),
+                           np.where(evanescent, 0.0, trans), status == _OK, status)
 
 
 def scattering_coefficients(pot: Potential, particle: Particle,
@@ -449,12 +442,13 @@ def scattering_coefficients(pot: Potential, particle: Particle,
     the Gamma ratios (see _propagating_rt).  In the one-evanescent-channel
     bands the result is exact: R = 1, T = 0 (for an imaginary nu this follows
     from the x -> -x mirror, which swaps the channel roles).  Energies inside
-    the boundary guard are rejected.  This is _scattering_batch on a batch
-    of one."""
-    batch = _scattering_batch(pot, particle, np.array([energy], float))
-    region, _ = batch.one(energy)
-    refl, trans = float(batch.R[0]), float(batch.T[0])
-    return ScatteringResult(energy, region, refl, trans, refl + trans - 1.0)
+    the boundary guard are rejected.  This is scattering_table at one
+    energy."""
+    table = scattering_table(pot, particle, (energy,))
+    if not table.ok[0]:
+        raise table._error(0, energy)
+    refl, trans = table.R[0].item(), table.T[0].item()
+    return ScatteringResult(energy, table.region[0], refl, trans, refl + trans - 1.0)
 
 
 def currents(pot: Potential, particle: Particle, energy: float) -> Currents:

@@ -94,23 +94,32 @@ def wave_profile(xs: Sequence[float] | np.ndarray, kind: Kind, pot: Potential,
     :func:`wavefunction` at xs[j], bit for bit.
 
     Checks the kind, then every x, then the energy, so an invalid x raises
-    before any energy error."""
+    before any energy error.  Raises RangeError at an x whose column is not
+    finite, as a wave that grows past the double range inside the window."""
     xs = np.asarray(xs, dtype=float)
     amp, side, k, pa, pb, pc, lam, _ = _wave(kind, xs, pot, particle, energy)
     b, m = pot.b, particle.m
     u = np.exp(2.0 * side * b * xs)
     f0, failure = _hyp2f1_batch(pa, pb, pc, -u)
-    # raise as a loop over x would, F before F1 at one x: F1 stops at F's failure
+    # raise as a loop over x would, F, F1, then the column at one x: F1 stops
+    # at F's failure, and the columns at F1's
     f1, failure1 = _hyp2f1_batch(pa + 1, pb + 1, pc + 1, -u[:failure and failure[0]])
-    if failure1 or failure:
-        raise (failure1 or failure)[1]
-    pref = amp * np.exp(2j * b * k * xs + lam * np.log1p(u))
-    bracket = (1j * k + side * lam * (u / (1.0 + u))) * f0 \
-        - side * (pa * pb / pc) * u * f1
-    psi = pref * f0
-    # phi = (E - V) psi / m and theta = (i/m) dpsi/dx
-    dpsi = 2.0 * b * pref * bracket
-    return np.stack((psi, (energy - pot.value(xs)) * psi / m, 1j * dpsi / m))
+    failure = failure1 or failure or (len(xs), None)
+    xs, u, f0, f1 = (v[:failure[0]] for v in (xs, u, f0, f1))
+    with np.errstate(all="ignore"):
+        pref = amp * np.exp(2j * b * k * xs + lam * np.log1p(u))
+        bracket = (1j * k + side * lam * (u / (1.0 + u))) * f0 \
+            - side * (pa * pb / pc) * u * f1
+        psi = pref * f0
+        # phi = (E - V) psi / m and theta = (i/m) dpsi/dx
+        dpsi = 2.0 * b * pref * bracket
+        rows = np.stack((psi, (energy - pot.value(xs)) * psi / m, 1j * dpsi / m))
+    finite = np.isfinite(rows).all(axis=0)
+    if not finite.all():
+        raise RangeError(f"{kind} wave not finite at x={float(xs[finite.argmin()])}")
+    if failure[1]:
+        raise failure[1]
+    return rows
 
 
 def wavefunction(x: float, kind: Kind, pot: Potential, particle: Particle,

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from dkpscatter import Particle, Potential, scattering_coefficients, wavefunction
-from dkpscatter import scattering
+from dkpscatter import cli, scattering
 from dkpscatter.cli import _build_parser, _emit, main
 
 POINT_ARGS = ["point", "--a", "5", "--b", "3", "--m", "1", "--E", "7"]
@@ -42,11 +42,13 @@ class TestPoint:
         assert pairs["R"] == "1" and pairs["T"] == "0"
 
     def test_one_energy_decision(self, monkeypatch, capsys):
-        # nu and mu come from the call that gives R and T
+        # nu and mu come from the call that gives R and T: one table, counted
+        # at the name the CLI imported and at the one the library calls
         calls = []
-        decide = scattering._decide
-        monkeypatch.setattr(scattering, "_decide",
-                            lambda *args: calls.append(args) or decide(*args))
+        table = scattering.scattering_table
+        counted = lambda *args: calls.append(args) or table(*args)  # noqa: E731
+        monkeypatch.setattr(scattering, "scattering_table", counted)
+        monkeypatch.setattr(cli, "scattering_table", counted)
         assert main(POINT_ARGS) == 0
         assert len(calls) == 1
 

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dkpscatter import scattering
 from dkpscatter import (
     BoundaryEnergyError,
     ChannelClosedError,
@@ -31,6 +30,7 @@ from dkpscatter import (
     kinematics,
     numeric_rt,
     scattering_coefficients,
+    scattering_table,
     step_rt,
     wavefunction,
 )
@@ -500,26 +500,28 @@ class TestArrayPath:
     def test_matches_scalar_and_reference(self, case):
         a, b, m, energies = case
         pot, particle = Potential(a, b), Particle(m)
-        batch = scattering._scattering_batch(pot, particle, np.array(energies))
+        table = scattering_table(pot, particle, np.array(energies))
         for i, energy in enumerate(energies):
             try:
                 res = scattering_coefficients(pot, particle, energy)
             except DkpScatterError as exc:
-                err = batch.error(i, energy)
+                err = table.error(i)
+                assert not table.ok[i]
                 assert type(err) is type(exc) and str(err) == str(exc)
                 continue
-            assert batch.status[i] == scattering._OK
-            assert scattering._REGIONS[batch.region[i]] is res.region
-            assert _bits(batch.R[i]) == _bits(res.R)
-            assert _bits(batch.T[i]) == _bits(res.T)
+            assert table.ok[i] and table.error(i) is None
+            assert table.region[i] is res.region is classify_region(pot, particle, energy)
+            assert table.token[i] == res.region.token
+            assert _bits(table.R[i]) == _bits(res.R)
+            assert _bits(table.T[i]) == _bits(res.T)
             if res.region in (Region.II, Region.IV):
                 assert (res.R, res.T) == (1.0, 0.0)
                 continue
-            nu, mu = batch.nu_mu.real[:, i]
-            r_ref, t_ref = _elementary_rt(nu, mu, batch.lam, a, b)
+            nu, mu = table.nu[i].real, table.mu[i].real
+            r_ref, t_ref = _elementary_rt(nu, mu, table.lam, a, b)
             # the exponents 2 pi (|nu| + |mu|) and 2 pi kappa carry a rounding
             # error of about eps times their size into R and T
-            big = max(abs(nu) + abs(mu), batch.lam.imag)
+            big = max(abs(nu) + abs(mu), table.lam.imag)
             tol = (1e-14 + 2.0 * math.pi * big * 2.0 ** -52) \
                 * max(1.0, abs(r_ref), abs(t_ref))
             assert abs(res.R - r_ref) <= tol and abs(res.T - t_ref) <= tol
@@ -546,6 +548,28 @@ class TestArrayPath:
             scattering_coefficients(Potential(9269899972396.64, 8.771065157137887e-45),
                                     Particle(1.1332601923732985e-115),
                                     -1.1537069532307314)
+
+    def test_rounding_of_negligible_terms(self):
+        # big = |nu| + |mu| ~ 1.4e15 puts the exponents' rounding error near
+        # 2, but S is e^{-9e15} of the sinh terms, so no term with that error
+        # reaches R and T, which keep every digit
+        a, b, m, energy = 5.0, 3.0, 1.0, 4.3e15
+        res = scattering_coefficients(Potential(a, b), Particle(m), energy)
+        with mp.workdps(50):
+            e = mp.mpf(energy)
+            nu = mp.sqrt((e + a) ** 2 - m * m) / (2 * b)
+            mu = mp.sqrt((e - a) ** 2 - m * m) / (2 * b)
+            s = mp.cosh(mp.pi * mp.sqrt(4 * a * a - b * b) / (2 * b)) ** 2
+            den = s + mp.sinh(mp.pi * (nu + mu)) ** 2
+            r_ref = (s + mp.sinh(mp.pi * (nu - mu)) ** 2) / den
+            t_ref = mp.sinh(2 * mp.pi * nu) * mp.sinh(2 * mp.pi * mu) / den
+        assert abs(res.R - r_ref) <= 1e-16 and abs(res.T - t_ref) <= 1e-16
+
+    def test_energies_must_be_one_dimensional(self, pot, particle):
+        with pytest.raises(InvalidParameterError):
+            scattering_table(pot, particle, 7.0)
+        with pytest.raises(InvalidParameterError):
+            scattering_table(pot, particle, [[7.0]])
 
 
 class TestCurrents:

@@ -4,6 +4,7 @@ with its transformation paths."""
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -85,6 +86,16 @@ class TestLogGamma:
         # |G(1+i)|^2 = pi / sinh(pi)
         val = math.exp(2.0 * log_gamma(complex(1.0, 1.0)).real)
         assert abs(val - math.pi / math.sinh(math.pi)) <= 1e-10
+
+    @pytest.mark.parametrize("re", [0.25, -0.3, -2.5, -17.75, -1e3 - 0.1, -1e5 + 0.5,
+                                    -1e6 + 0.5, -1e9 + 0.5, -1e9 + 0.125])
+    @pytest.mark.parametrize("im", [0.0, 1e-9, -0.5, 3.0, -40.0, 300.0, -1e5])
+    def test_reflection_against_mpmath(self, re, im):
+        # Re z < 1/2 runs the reflection formula, in time that does not grow
+        # with -Re z; at |Im z| = 1e5, sin(pi z) itself overflows
+        with mp.workdps(50):
+            ref = complex(mp.loggamma(mp.mpc(re, im)))
+        assert abs(log_gamma(complex(re, im)) - ref) <= 1e-14 * abs(ref)
 
     def test_large_imaginary_modulus_ratio(self):
         # |G(1+50i)|^2 / |G(0.5+50i)|^2 = 50 coth(50 pi) = 50 to double precision

@@ -2,6 +2,7 @@
 plane-wave asymptotics, component relations, and input guards."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -16,6 +17,7 @@ from dkpscatter import (
     EvanescentIncidentError,
     IllConditionedError,
     InvalidParameterError,
+    NonConvergenceError,
     Particle,
     Potential,
     RangeError,
@@ -231,6 +233,10 @@ PROFILE_ERRORS = [
      "-1.2214027581601699) loses digits to cancellation (figure 1.0e+10 > 1e+06)"),
 ]
 
+# (pot, particle, energy) of waves that leave the double range at x = 506
+OVERFLOW_POINT = (Potential(0.9082687991438897, 0.6175463073941782),
+                  Particle(1.4120168037117617), 1.0490044015840585)
+
 
 def _count_calls(monkeypatch, module, name):
     calls = []
@@ -257,7 +263,7 @@ class TestWaveProfile:
     @pytest.mark.parametrize("kind", ["incident", "reflected"])
     def test_one_build_per_call(self, monkeypatch, pot, particle, kind):
         coeffs = _count_calls(monkeypatch, wavefield, "connection_coefficients")
-        bands = _count_calls(monkeypatch, scattering, "_band")
+        bands = _count_calls(monkeypatch, scattering, "scattering_table")
         wave_profile(PROFILE_XS, kind, pot, particle, 7.0)
         assert (len(coeffs), len(bands)) == (1, 1)
         component_residuals(0.3, kind, pot, particle, 7.0, 1e-4)
@@ -326,6 +332,23 @@ class TestWaveProfile:
         (n0, failure0), (n1, _) = calls
         assert n0 == len(xs)
         assert n1 == (failure0[0] if failure0 else len(xs))
+
+    @pytest.mark.parametrize("at,error", [(0, NonConvergenceError),
+                                          (1, NonConvergenceError), (2, RangeError)])
+    def test_non_finite_column_ranked_by_x(self, monkeypatch, at, error):
+        # the column at x = 506 is not finite; an evaluation failure of F
+        # there or ahead of it raises first, as a loop over x would raise
+        inner = wavefield._hyp2f1_batch
+
+        def failing(a, b, c, z):
+            values, failure = inner(a, b, c, z)
+            if failure is None and z.size > at:
+                failure = (at, NonConvergenceError("injected"))
+            return values, failure
+
+        monkeypatch.setattr(wavefield, "_hyp2f1_batch", failing)
+        with pytest.raises(error):
+            wave_profile([500.0, 506.0, 510.0], "reflected", *OVERFLOW_POINT)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(a=st.floats(2.0, 8.0), band=st.sampled_from(["I", "III"]),
@@ -431,6 +454,18 @@ class TestConditioningGuard:
         for x in (0.5, 1.0, 5.0):
             with pytest.raises(RangeError):
                 wavefunction(x, kind, Potential(3.2, 0.002), Particle(1.0), -1.6)
+
+    @pytest.mark.parametrize("kind", ["incident", "reflected"])
+    def test_overflowing_wave_raises(self, kind):
+        # the wave grows past the double range between x = 500 and 506, inside
+        # the window |2bx| <= 700: a typed error, not inf or a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert np.isfinite(wave_profile([500.0], kind, *OVERFLOW_POINT)).all()
+            with pytest.raises(RangeError, match=f"^{kind} wave not finite at x=506.0$"):
+                wave_profile([500.0, 506.0, 510.0], kind, *OVERFLOW_POINT)
+            with pytest.raises(RangeError):
+                wavefunction(506.0, kind, *OVERFLOW_POINT)
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(log_a=st.floats(math.log(0.1), math.log(50.0)),
