@@ -47,7 +47,7 @@ def _fmt12(value: complex | float) -> str:
     return f"{value:.12g}"
 
 
-def _csv(header: str, cols: Sequence[np.ndarray], *text: np.ndarray) -> Iterator[str]:
+def _csv(header: str, cols: Sequence[np.ndarray], *text: Sequence[str]) -> Iterator[str]:
     """CSV text, _CSV_BLOCK rows at a time so that no column is held as a list:
     floats as repr, the shortest round-trip representation, then text columns."""
     yield header + "\n"
@@ -117,8 +117,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               file=sys.stderr)
     keep = table.ok
     refl, trans = table.R[keep], table.T[keep]
+    tokens = [region.token for region in table.region[keep]]
     _emit(_csv("E,R,T,unitarity_defect,region",
-               (energies[keep], refl, trans, refl + trans - 1.0), table.token[keep]),
+               (energies[keep], refl, trans, refl + trans - 1.0), tokens),
           args.out)
     return 0
 

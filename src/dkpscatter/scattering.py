@@ -95,7 +95,7 @@ class Region(Enum):
 
     @property
     def token(self) -> str:
-        return self.value
+        return self._value_  # not the value property, several times slower
 
 
 class KinematicParams(NamedTuple):
@@ -167,7 +167,6 @@ def critical_energies(pot: Potential, particle: Particle) -> tuple[float, ...]:
 _OK, _GUARDED, _NON_FINITE, _KINEMATICS_RANGE, _RT_RANGE = range(5)
 # a table's region codes index these arrays
 _REGIONS = np.array(tuple(Region), dtype=object)
-_TOKENS = np.array([region.token for region in Region], dtype=object)
 _I, _II, _III, _IV, _V, _BOUNDARY = range(len(_REGIONS))
 # region code by [sign(nu), sign(mu)], a sign of -1 indexing the last entry:
 # both real with the same sign I (positive) or V (negative), opposite signs
@@ -221,16 +220,15 @@ def kinematics(pot: Potential, particle: Particle, energy: float) -> KinematicPa
 class ScatteringTable:
     """R and T over an energy array, as :func:`scattering_table` decides them.
 
-    Per energy: the band (BOUNDARY where guarded) and its token, nu and mu,
-    R and T, and ok, which is True where R and T hold; lam is shared.  Where
-    ok is False, error(i) is the typed error scattering_coefficients raises
-    at energy[i], and R and T hold no value."""
+    Per energy: the band (BOUNDARY where guarded), nu and mu, R and T, and
+    ok, which is True where R and T hold; lam is shared.  Where ok is False,
+    error(i) is the typed error scattering_coefficients raises at energy[i],
+    and R and T hold no value."""
 
     pot: Potential
     particle: Particle
     energy: np.ndarray
     region: np.ndarray
-    token: np.ndarray
     nu: np.ndarray
     mu: np.ndarray
     lam: complex
@@ -332,6 +330,7 @@ def connection_coefficients(k: KinematicParams) -> ConnectionCoefficients:
 
 
 _TWO_PI = 2.0 * math.pi
+_NEGLIGIBLE_GAP = 53.0 * math.log(2.0) / _TWO_PI  # 53 ln 2 over 2 pi, for 2^-53
 
 
 def _propagating_rt(nu_mu: np.ndarray, lam: complex, a: float,
@@ -355,20 +354,21 @@ def _propagating_rt(nu_mu: np.ndarray, lam: complex, a: float,
     R + T = 1 holds to rounding.  For a = 0 (lam = 1, nu = mu) R = 0 and
     T = 1 come out exactly.  R and T are representable where the
     denominator is a normal number (it is not once nu +- mu and 1 - lam fall
-    below about 1e-154), and where the exponents' rounding error, about
-    2 pi big 2^-52, stays below 1 or below the gap 2 pi |kappa - (p + q)|
-    between S and the sinh terms; past both, the smaller side reaches R and
-    T off by a factor of e or more (at E = 4.3e15 on (a, b, m) = (5, 3, 1),
-    S is 0 and R = 0, T = 1 hold).  Call under np.errstate(all="ignore")
-    with a finite lam."""
+    below about 1e-154), and where the exponents' rounding error d = 2 pi big
+    2^-52 is below 1 or the gap G = 2 pi |kappa - (p + q)| between S and the
+    sinh terms exceeds d by 53 ln 2: G is known to within d, so the side with
+    the badly rounded exponent then stays below 2^-53 of the other (as at
+    E = 4.3e15 on (a, b, m) = (5, 3, 1): d = 2, G = 9e15).  Past both, that
+    side can reach R and T with no reliable digit (at (1, 1e-15, 2.5e-8, 0),
+    d = 1.4 and G = 1.6).  Call under np.errstate(all="ignore"), lam finite."""
     p_q = np.abs(nu_mu.real)
     p, q = p_q
     kappa = lam.imag
     p_plus_q = p + q
     big = np.maximum(p_plus_q, kappa)
-    # 2 pi big 2^-52 below max(1, the gap), on 1/(2 pi) of both sides
-    resolved = big * sys.float_info.epsilon \
-        < np.maximum(np.abs(kappa - p_plus_q), 1.0 / _TWO_PI)
+    # d < 1 or G - d > 53 ln 2, on 1/(2 pi) of both sides
+    resolved = (big * sys.float_info.epsilon < 1.0 / _TWO_PI) \
+        | (np.abs(kappa - p_plus_q) - big * sys.float_info.epsilon > _NEGLIGIBLE_GAP)
     scale = np.exp(_TWO_PI * (p_plus_q - big))
     e_sum = np.expm1(-_TWO_PI * p_plus_q)
     e_diff = np.expm1(-_TWO_PI * np.abs(p - q))
@@ -429,8 +429,8 @@ def scattering_table(pot: Potential, particle: Particle,
         else:
             # lam may be out of range, and the R/T formula needs it finite
             refl = trans = np.full(energy.shape, math.nan)
-    return ScatteringTable(pot, particle, energy, _REGIONS[region], _TOKENS[region],
-                           nu_mu[0], nu_mu[1], lam, np.where(evanescent, 1.0, refl),
+    return ScatteringTable(pot, particle, energy, _REGIONS[region], nu_mu[0], nu_mu[1],
+                           lam, np.where(evanescent, 1.0, refl),
                            np.where(evanescent, 0.0, trans), status == _OK, status)
 
 
