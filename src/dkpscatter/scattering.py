@@ -330,13 +330,12 @@ def connection_coefficients(k: KinematicParams) -> ConnectionCoefficients:
 
 
 _TWO_PI = 2.0 * math.pi
-_NEGLIGIBLE_GAP = 53.0 * math.log(2.0) / _TWO_PI  # 53 ln 2 over 2 pi, for 2^-53
 
 
-def _propagating_rt(nu_mu: np.ndarray, lam: complex, a: float,
-                    b: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """R and T for real nu and mu, the rows of nu_mu, on the step a tanh(bx),
-    and where they are representable.
+def _propagating_rt(nu_mu: np.ndarray, lam: complex, a: float, b: float, m: float,
+                    energy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """R and T for real nu and mu, the rows of nu_mu, of the mass m at the
+    energies on the step a tanh(bx), and where they are representable.
 
     R = |C/A|^2 and T = (mu/nu)/|A|^2 reduce, through |Gamma(1+iy)|^2 =
     pi y/sinh(pi y), |Gamma(1/2+iy)|^2 = pi/cosh(pi y) and Gamma(s)Gamma(1-s)
@@ -347,51 +346,51 @@ def _propagating_rt(nu_mu: np.ndarray, lam: complex, a: float,
         T = sinh(2 pi nu) sinh(2 pi mu) / (S + sinh^2 pi(nu + mu)).
 
     With p = |nu|, q = |mu|, sinh^2 pi(nu +- mu) is sinh^2 pi(p + q) or
-    sinh^2 pi(p - q) by the relative sign of nu and mu.  Every term is
-    multiplied by 4 exp(-2 pi big), big = max(p + q, kappa), so nothing
-    overflows, and the exponent of the p - q term is taken as p + q - 2
-    min(p, q), so that both sinh terms and T share one scale factor and
-    R + T = 1 holds to rounding.  For a = 0 (lam = 1, nu = mu) R = 0 and
-    T = 1 come out exactly.  R and T are representable where the
-    denominator is a normal number (it is not once nu +- mu and 1 - lam fall
-    below about 1e-154), and where the exponents' rounding error d = 2 pi big
-    2^-52 is below 1 or the gap G = 2 pi |kappa - (p + q)| between S and the
-    sinh terms exceeds d by 53 ln 2: G is known to within d, so the side with
-    the badly rounded exponent then stays below 2^-53 of the other (as at
-    E = 4.3e15 on (a, b, m) = (5, 3, 1): d = 2, G = 9e15).  Past both, that
-    side can reach R and T with no reliable digit (at (1, 1e-15, 2.5e-8, 0),
-    d = 1.4 and G = 1.6).  Call under np.errstate(all="ignore"), lam finite."""
+    sinh^2 pi(p - q) by the relative sign of nu and mu.  S is multiplied by
+    4 exp(2 pi min(g, 0)) and the sinh terms by 4 exp(-2 pi max(g, 0)), g =
+    kappa - (p + q) (kappa = 0 for real lam), so nothing overflows, and the
+    p - q term's exponent is p + q - 2 min(p, q), so that both sinh terms
+    and T share one scale and R + T = 1 holds to rounding; for a = 0 (lam =
+    1, nu = mu) R = 0 and T = 1 exactly.  For b < 2|a|, kappa - (p + q) in
+    doubles would err by about 2 pi |a|/b 2^-52, so g comes from the inputs,
+
+        2b g = m^2/(|E+a| + 2bp) + m^2/(|E-a| + 2bq) - 2 max(|E| - |a|, 0)
+               - b^2/(2|a| + 2b kappa),
+
+    by sqrt(w^2 - c^2) = |w| - c^2/(|w| + sqrt(w^2 - c^2)) for (w, c) =
+    (E +- a, m) and (2|a|, b), and |E+a| + |E-a| = 2 max(|E|, |a|).  So
+    every exponent is exact to rounding, and the one rule left is a normal
+    denominator (it is not once nu +- mu and 1 - lam fall below about
+    1e-154).  Call under np.errstate(all="ignore"), lam finite."""
     p_q = np.abs(nu_mu.real)
     p, q = p_q
-    kappa = lam.imag
-    p_plus_q = p + q
-    big = np.maximum(p_plus_q, kappa)
-    # d < 1 or G - d > 53 ln 2, on 1/(2 pi) of both sides
-    resolved = (big * sys.float_info.epsilon < 1.0 / _TWO_PI) \
-        | (np.abs(kappa - p_plus_q) - big * sys.float_info.epsilon > _NEGLIGIBLE_GAP)
-    scale = np.exp(_TWO_PI * (p_plus_q - big))
-    e_sum = np.expm1(-_TWO_PI * p_plus_q)
+    if lam.imag:
+        # m^2 as m m/(...), which does not underflow
+        w = np.abs(np.add.outer((a, -a), energy)) + 2.0 * b * p_q
+        gap = (m * (m / w).sum(axis=0) - 2.0 * (np.abs(energy) - abs(a)).clip(0.0)
+               - b * b / (2.0 * abs(a) + 2.0 * b * lam.imag)) / (2.0 * b)
+        s = (1.0 + math.exp(-_TWO_PI * lam.imag)) ** 2
+    else:
+        gap = -(p + q)
+        # 1 - lam without the cancellation of a lam rounded near 1 (b >> a);
+        # exactly 0 for a = 0
+        one_minus_lam = 2.0 * a * a / (b * (b + math.sqrt(b * b - 4.0 * a * a)))
+        s = 4.0 * math.sin(math.pi * one_minus_lam) ** 2
+    s = s * np.exp(_TWO_PI * np.minimum(gap, 0.0))
+    scale = np.exp(-_TWO_PI * np.maximum(gap, 0.0))
+    e_sum = np.expm1(-_TWO_PI * (p + q))
     e_diff = np.expm1(-_TWO_PI * np.abs(p - q))
     sh_sum = scale * e_sum * e_sum
     sh_diff = scale * np.exp(-2.0 * _TWO_PI * np.minimum(p, q)) * e_diff * e_diff
     # |sinh(2 pi nu) sinh(2 pi mu)| on the same scale
     e_nu, e_mu = np.expm1(-2.0 * _TWO_PI * p_q)
     prod = scale * e_nu * e_mu
-    if kappa:
-        s = np.exp(_TWO_PI * (kappa - big)) \
-            * (1.0 + math.exp(-_TWO_PI * kappa)) ** 2
-    else:
-        # 1 - lam without the cancellation of a lam rounded near 1 (b >> a);
-        # exactly 0 for a = 0
-        one_minus_lam = 2.0 * a * a / (b * (b + math.sqrt(b * b - 4.0 * a * a)))
-        s = 4.0 * math.sin(math.pi * one_minus_lam) ** 2 \
-            * np.exp(-_TWO_PI * big)
     negative = nu_mu.real < 0.0
     same_sign = negative[0] == negative[1]
     den = s + np.where(same_sign, sh_sum, sh_diff)
     refl = (s + np.where(same_sign, sh_diff, sh_sum)) / den
     trans = np.where(same_sign, prod, -prod) / den
-    return refl, trans, (den >= sys.float_info.min) & resolved
+    return refl, trans, den >= sys.float_info.min
 
 
 def scattering_table(pot: Potential, particle: Particle,
@@ -424,7 +423,8 @@ def scattering_table(pot: Potential, particle: Particle,
         ok = status == _OK
         evanescent = (region == _II) | (region == _IV)
         if ok.any():
-            refl, trans, representable = _propagating_rt(nu_mu, lam, pot.a, pot.b)
+            refl, trans, representable = _propagating_rt(nu_mu, lam, pot.a, pot.b,
+                                                         particle.m, energy)
             status[ok & ~(evanescent | representable)] = _RT_RANGE
         else:
             # lam may be out of range, and the R/T formula needs it finite

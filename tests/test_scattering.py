@@ -290,10 +290,10 @@ class TestScatteringCoefficients:
         assert abs(res.R - ref.R) <= 1e-4
 
 
-def _gamma_route_rt(a, b, m, energy):
-    """R = |C/A|^2 and T = (mu/nu)/|A|^2 at 50 digits, from mp.loggamma of
+def _gamma_route_rt(a, b, m, energy, dps=50):
+    """R = |C/A|^2 and T = (mu/nu)/|A|^2 at dps digits, from mp.loggamma of
     the connection-coefficient arguments, independent of the closed form."""
-    with mp.workdps(50):
+    with mp.workdps(dps):
         a, b, m, energy = (mp.mpf(v) for v in (a, b, m, energy))
 
         def half_wavenumber(excess):
@@ -367,6 +367,42 @@ class TestExtremeParameters:
             assert res.R > 1.0 or (res.R == 1.0 and -res.T <= 2.0 ** -52)
         else:
             assert 0.0 <= res.R < 1.0
+
+
+@st.composite
+def _large_ratio_points(draw):
+    """(a, b, m, E) with a/b up to 1e20 and m down to 1e-9 a: band III at
+    0.999 of the way to its edges, or bands I and V m 10^(-6..3) past the
+    outer thresholds."""
+    a = 10.0 ** draw(st.floats(-3.0, 3.0))
+    b = a / 10.0 ** draw(st.floats(-2.0, 20.0))
+    m = a * 10.0 ** draw(st.floats(-9.0, -0.01))
+    band = draw(st.sampled_from([Region.I, Region.III, Region.V]))
+    if band is Region.III:
+        energy = 0.999 * draw(st.floats(-(a - m), a - m))
+    else:
+        energy = a + m + m * 10.0 ** draw(st.floats(-6.0, 3.0))
+        if band is Region.V:
+            energy = -energy
+    return a, b, m, energy
+
+
+class TestLargeRatio:
+    """R and T where kappa and |nu| + |mu| lie near a/b, up to 1e20."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(point=_large_ratio_points())
+    def test_against_mpmath(self, point):
+        a, b, m, energy = point
+        try:
+            res = scattering_coefficients(Potential(a, b), Particle(m), energy)
+        except BoundaryEnergyError:
+            return
+        # the reference at enough digits to resolve kappa - (|nu| + |mu|)
+        dps = int(40 + 2 * math.log10(max(1.0, (abs(energy) + 2 * a + m) / b)))
+        r_ref, t_ref = _gamma_route_rt(a, b, m, energy, dps)
+        tol = 1e-12 * max(1.0, abs(r_ref), abs(t_ref))
+        assert abs(res.R - r_ref) <= tol and abs(res.T - t_ref) <= tol
 
 
 ENTRY_POINTS = {
@@ -540,13 +576,13 @@ class TestArrayPath:
         assert abs(res.T - t_ref) <= 1e-14 * r_ref
 
     def test_exponent_rounding_past_one(self):
-        # kappa and 2|nu| round to the same double, about 5e56, so the
-        # exponents' rounding error 2 pi big 2^-52 is far above 1; R = 1 and
-        # T = 0 to all digits here, where the formula gave R = 2, T = -1
-        with pytest.raises(RangeError, match="not representable"):
-            scattering_coefficients(Potential(9269899972396.64, 8.771065157137887e-45),
-                                    Particle(1.1332601923732985e-115),
-                                    -1.1537069532307314)
+        # kappa and 2|nu| round to the same double, about 5e56, far past the
+        # reach of a gap taken as their difference; the gap formed from the
+        # inputs is -1.2e-58, so R = 2 and T = -1 (mpmath at 200 digits)
+        res = scattering_coefficients(Potential(9269899972396.64, 8.771065157137887e-45),
+                                      Particle(1.1332601923732985e-115),
+                                      -1.1537069532307314)
+        assert res.R == 2.0 and res.T == -1.0
 
     def test_rounding_of_negligible_terms(self):
         # big = |nu| + |mu| ~ 1.4e15 puts the exponents' rounding error near
@@ -565,17 +601,18 @@ class TestArrayPath:
         assert abs(res.R - r_ref) <= 1e-16 and abs(res.T - t_ref) <= 1e-16
 
     def test_rounding_of_a_moderate_gap(self):
-        # band III with a/b = 1e15: the rounding error is about 1.4 and
-        # kappa - (|nu| + |mu|) about 1.6 / (2 pi), so S and the sinh terms
-        # both reach R and T, one of them with an exponent off by up to 1.4;
-        # the formula gives R = 1.21, T = -0.21 here with no reliable digit
-        pot, particle = Potential(1.0, 1e-15), Particle(2.5e-8)
-        assert classify_region(pot, particle, 0.0) is Region.III
-        with pytest.raises(RangeError, match="not representable"):
-            scattering_coefficients(pot, particle, 0.0)
-        table = scattering_table(pot, particle, [0.0, 0.0])
-        assert not table.ok.any()
-        assert str(table.error(1)).startswith("R and T not representable")
+        # band III with a/b from 1e13 to 1e15: kappa - (|nu| + |mu|) is of
+        # order 1 and, as a difference of two doubles near a/b, carried an
+        # exponent error of up to 1.4 into R and T; T from 60-digit mpmath
+        for a, b, m, t_ref in [(1.0, 1e-15, 2.5e-8, -0.140366922694120),
+                               (1.0, 1e-13, 3e-7, -0.0591645112940785),
+                               (1.0, 2e-15, 3.2e-8, -0.200188583612823)]:
+            pot, particle = Potential(a, b), Particle(m)
+            res = scattering_coefficients(pot, particle, 0.0)
+            table = scattering_table(pot, particle, [0.0, 0.0])
+            assert res.region is Region.III and table.ok.all()
+            for refl, trans in [(res.R, res.T), *zip(table.R, table.T)]:
+                assert abs(trans - t_ref) <= 1e-14 and abs(refl - (1.0 - t_ref)) <= 1e-14
 
     def test_energies_must_be_one_dimensional(self, pot, particle):
         with pytest.raises(InvalidParameterError):
