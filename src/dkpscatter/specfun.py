@@ -3,6 +3,7 @@ families this package needs (complex parameters, real argument z < 1)."""
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -30,9 +31,12 @@ def log_gamma(z: complex) -> complex:
     negative real axis follow the limit from the upper half plane.  Satisfies
     log_gamma(z+1) = log_gamma(z) + Log(z) with the principal Log.
 
-    Raises PoleError at the nonpositive integers.
+    Raises InvalidParameterError for a non-finite z and PoleError at the
+    nonpositive integers.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise InvalidParameterError(f"log_gamma argument must be finite, got {z}")
     if _kernels._near_nonpositive_int(z):
         raise PoleError(f"log_gamma pole at z={z}")
     return _kernels.lgamma_c(z)
@@ -53,15 +57,18 @@ def _hyp2f1_batch(a: complex, b: complex, c: complex, z: np.ndarray
     a, b, c = complex(a), complex(b), complex(c)
     z = np.asarray(z, dtype=float)
     values = np.zeros(z.shape, dtype=complex)
+    if z.size and not all(map(cmath.isfinite, (a, b, c))):
+        return values, (0, InvalidParameterError(
+            f"hyp2f1 parameters must be finite, got ({a}, {b}, {c})"))
     if z.size and _kernels._near_nonpositive_int(c):
         return values, (0, PoleError(f"hyp2f1 parameter c={c} at a pole"))
     # failures are (index, rank, error); the rank orders the checks hyp2f1
     # makes at one z, and the earliest index, then the lowest rank, wins
     failures = [(z.size, 0, None)]
-    above = np.flatnonzero(z >= 1.0)
+    above = np.flatnonzero(~(np.isfinite(z) & (z < 1.0)))
     if above.size:
         failures.append((above[0], 0, InvalidParameterError(
-            f"hyp2f1 argument z={float(z[above[0]])} not < 1")))
+            f"hyp2f1 argument z={float(z[above[0]])} must be finite and < 1")))
     # terms are (rank, parameters, z indices, arguments, factor): each adds
     # u = factor * F(parameters; argument) to the value at its z
     terms = []
@@ -136,7 +143,8 @@ def hyp2f1(a: complex, b: complex, c: complex, z: float) -> complex:
     two-term connection formula at w = 1/(1-z) in (0, 1/2), with factors
     Gamma ratio * (1-z)^-p (DLMF 15.8.3), which requires a - b away from the
     integers (DegenerateParametersError otherwise).  c at a nonpositive
-    integer raises PoleError; z >= 1 is out of domain; a series that does
+    integer raises PoleError; a non-finite parameter, or a z that is not a
+    finite number below 1, raises InvalidParameterError; a series that does
     not converge raises NonConvergenceError.
 
     Raises IllConditionedError when cancellation, within a series or between

@@ -78,6 +78,12 @@ class TestLogGamma:
             with pytest.raises(PoleError):
                 log_gamma(z)
 
+    @pytest.mark.parametrize("z", [complex(math.inf, 0.0), complex(-math.inf, 0.0),
+                                   complex(math.nan, 0.0), complex(0.0, math.inf)])
+    def test_non_finite_raises(self, z):
+        with pytest.raises(InvalidParameterError):
+            log_gamma(z)
+
     def test_just_off_pole_is_finite(self):
         val = log_gamma(complex(-3.0, 1e-10))
         assert math.isfinite(val.real) and math.isfinite(val.imag)
@@ -184,6 +190,12 @@ class TestHyp2f1:
         with pytest.raises(InvalidParameterError):
             hyp2f1(0.5, 0.5, 1.5, 1.0)
 
+    @pytest.mark.parametrize("a,b,c,z", [
+        (0.5, 0.5, 1.5, math.nan), (0.5, 0.5, math.inf, 0.2), (math.nan, 0.5, 1.5, 0.2)])
+    def test_non_finite_input_raises(self, a, b, c, z):
+        with pytest.raises(InvalidParameterError):
+            hyp2f1(a, b, c, z)
+
     def test_nonconvergence_raises(self):
         with pytest.raises(NonConvergenceError):
             hyp2f1(0.3, 0.4, 0.5, 0.99999)
@@ -249,8 +261,10 @@ class TestHyp2f1:
         # converging on the inversion side for the fourth set, ahead of the
         # direct and Pfaff series' failures at 0.8 and -1.0
         np.concatenate((np.tile([0.1, -0.3, -2.0, -5.0], 70),
-                        np.tile([-20.0, -1.05, -1.0, 0.8], 5)))],
-        ids=[*map(str, range(6)), "chunk_edge"])
+                        np.tile([-20.0, -1.05, -1.0, 0.8], 5))),
+        # a non-finite z ranks as z >= 1 does
+        np.array([0.1, -2.0, -math.inf, math.nan, 1.5])],
+        ids=[*map(str, range(6)), "chunk_edge", "non_finite"])
     def test_batch_reports_first_failure(self, monkeypatch, z):
         # with a 64-term cap the series at z = 0.8, 0.95 (and at some z for
         # the third and fourth sets) stop converging; mixed with cancelling,
