@@ -206,14 +206,12 @@ def _kinematics(pot: Potential, particle: Particle,
 
 
 def kinematics(pot: Potential, particle: Particle, energy: float) -> KinematicParams:
-    """nu, mu, lam for the given configuration.  Purely algebraic; no
-    boundary guard is applied here.  Raises RangeError when b*b underflows,
-    since lam needs b*b - 4a*a, which then loses its digits."""
-    if _lam_underflows(pot.b):
-        raise RangeError(f"b*b underflows at b={pot.b}")
-    with np.errstate(all="ignore"):
-        nu_mu, lam = _kinematics(pot, particle, np.array([energy], float))
-    return KinematicParams(complex(nu_mu[0, 0]), complex(nu_mu[1, 0]), lam)
+    """nu, mu, lam for the given configuration, from the one-energy
+    scattering_table.  Purely algebraic; no boundary guard is applied here.
+    Raises InvalidParameterError for a non-finite energy and RangeError
+    where nu, mu or lam leave the floating-point range or b*b underflows
+    (lam needs b*b - 4a*a, which then loses its digits)."""
+    return _band(pot, particle, energy, _GUARDED)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,13 +260,13 @@ class ScatteringTable:
                           f"mu={float(self.mu[i].real)}")
 
 
-def _band(pot: Potential, particle: Particle,
-          energy: float) -> tuple[Region, KinematicParams]:
+def _band(pot: Potential, particle: Particle, energy: float,
+          *passing: int) -> tuple[Region, KinematicParams]:
     """Band and kinematics at one energy, from scattering_table.  Raises the
     error scattering_coefficients raises there, except where only R and T
-    are not representable."""
+    are not representable or the status is one of passing."""
     table = scattering_table(pot, particle, (energy,))
-    if table._status[0] != _RT_RANGE and not table.ok[0]:
+    if table._status[0] not in (_OK, _RT_RANGE, *passing):
         raise table._error(0, energy)
     return table.region[0], KinematicParams(table.nu[0].item(), table.mu[0].item(),
                                             table.lam)

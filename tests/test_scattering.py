@@ -409,6 +409,7 @@ ENTRY_POINTS = {
     "scattering_coefficients": scattering_coefficients,
     "classify_region": classify_region,
     "currents": currents,
+    "kinematics": kinematics,
     "numeric_rt": numeric_rt,
     "wavefunction": lambda pot, par, e: wavefunction(0.1, "incident", pot, par, e),
     "asymptotic_wavefunction":
