@@ -357,7 +357,7 @@ def _propagating_rt(nu_mu: np.ndarray, lam: complex, a: float, b: float, m: floa
 
     by sqrt(w^2 - c^2) = |w| - c^2/(|w| + sqrt(w^2 - c^2)) for (w, c) =
     (E +- a, m) and (2|a|, b), and |E+a| + |E-a| = 2 max(|E|, |a|).  So
-    every exponent is exact to rounding, and the one rule left is a normal
+    g is exact to rounding, and the one rule left for R and T is a normal
     denominator (it is not once nu +- mu and 1 - lam fall below about
     1e-154).  Call under np.errstate(all="ignore"), lam finite."""
     p_q = np.abs(nu_mu.real)
@@ -365,7 +365,7 @@ def _propagating_rt(nu_mu: np.ndarray, lam: complex, a: float, b: float, m: floa
     if lam.imag:
         # m^2 as m m/(...), which does not underflow
         w = np.abs(np.add.outer((a, -a), energy)) + 2.0 * b * p_q
-        gap = (m * (m / w).sum(axis=0) - 2.0 * (np.abs(energy) - abs(a)).clip(0.0)
+        gap = (m * (m / w).sum(0) - 2.0 * np.maximum(np.abs(energy) - abs(a), 0.0)
                - b * b / (2.0 * abs(a) + 2.0 * b * lam.imag)) / (2.0 * b)
         s = (1.0 + math.exp(-_TWO_PI * lam.imag)) ** 2
     else:

@@ -330,6 +330,24 @@ EXTREME_POINTS = [
 ]
 
 
+@st.composite
+def _large_ratio_points(draw):
+    """(a, b, m, E) with a/b up to 1e20 and m down to 1e-9 a: band III at
+    0.999 of the way to its edges, or bands I and V m 10^(-6..3) past the
+    outer thresholds."""
+    a = 10.0 ** draw(st.floats(-3.0, 3.0))
+    b = a / 10.0 ** draw(st.floats(-2.0, 20.0))
+    m = a * 10.0 ** draw(st.floats(-9.0, -0.01))
+    band = draw(st.sampled_from([Region.I, Region.III, Region.V]))
+    if band is Region.III:
+        energy = 0.999 * draw(st.floats(-(a - m), a - m))
+    else:
+        energy = a + m + m * 10.0 ** draw(st.floats(-6.0, 3.0))
+        if band is Region.V:
+            energy = -energy
+    return a, b, m, energy
+
+
 class TestExtremeParameters:
     @pytest.mark.parametrize("a,b,energy", EXTREME_POINTS)
     def test_against_mpmath_gamma_route(self, a, b, energy):
@@ -368,31 +386,10 @@ class TestExtremeParameters:
         else:
             assert 0.0 <= res.R < 1.0
 
-
-@st.composite
-def _large_ratio_points(draw):
-    """(a, b, m, E) with a/b up to 1e20 and m down to 1e-9 a: band III at
-    0.999 of the way to its edges, or bands I and V m 10^(-6..3) past the
-    outer thresholds."""
-    a = 10.0 ** draw(st.floats(-3.0, 3.0))
-    b = a / 10.0 ** draw(st.floats(-2.0, 20.0))
-    m = a * 10.0 ** draw(st.floats(-9.0, -0.01))
-    band = draw(st.sampled_from([Region.I, Region.III, Region.V]))
-    if band is Region.III:
-        energy = 0.999 * draw(st.floats(-(a - m), a - m))
-    else:
-        energy = a + m + m * 10.0 ** draw(st.floats(-6.0, 3.0))
-        if band is Region.V:
-            energy = -energy
-    return a, b, m, energy
-
-
-class TestLargeRatio:
-    """R and T where kappa and |nu| + |mu| lie near a/b, up to 1e20."""
-
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(point=_large_ratio_points())
-    def test_against_mpmath(self, point):
+    def test_large_ratio_against_mpmath(self, point):
+        # kappa and |nu| + |mu| near a/b, up to 1e20; only the guard may raise
         a, b, m, energy = point
         try:
             res = scattering_coefficients(Potential(a, b), Particle(m), energy)
