@@ -2,9 +2,9 @@
 direct integration of the second-order field equation across the step with a
 plane-wave decomposition at the walls.
 
-The integrator is a 4th-order Magnus transfer-matrix propagator (Blanes,
-Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151) with slice doubling; it calls
-no Gamma or hypergeometric function."""
+The integrator is a 6th-order Magnus transfer-matrix propagator with three
+Gauss points per slice (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009)
+151) and slice doubling; it calls no Gamma or hypergeometric function."""
 
 from __future__ import annotations
 
@@ -30,10 +30,10 @@ _BATCH = 1024
 # _RT_TOL max(1, |R|, |T|); no pass may take more than _MAX_SLICES slices.
 _RT_TOL = 1e-11
 _MAX_SLICES = 524_288
-# Gauss points sit at the slice midpoint +- sqrt(3)/6 h; the commutator term
-# of the 4th-order Magnus exponent carries sqrt(3)/12 h^2.
-_GAUSS = math.sqrt(3.0) / 6.0
-_COMMUTATOR = math.sqrt(3.0) / 12.0
+# The Gauss nodes of a slice sit at its midpoint and at +-sqrt(15)/10 h
+# from it; alpha2 of the 6th-order Magnus exponent carries sqrt(15)/3 h.
+_NODE = math.sqrt(15.0) / 10.0
+_ALPHA2 = math.sqrt(15.0) / 3.0
 
 
 @dataclass(frozen=True)
@@ -53,34 +53,62 @@ def _magnus_pass(a: float, b: float, m: float, energy: float,
                  y: np.ndarray) -> np.ndarray:
     """Carry the state y = (psi, dpsi) across n slices of signed width h.
 
-    Each slice is the 4th-order Magnus step of psi'' = -q psi, q = (E - V)^2
-    - m^2, from q at its two Gauss points; its exponent is traceless, so the
-    exponential is cosh(s) I + sinh(s)/s Omega with s^2 = c^2 - h^2 (q1 +
-    q2)/2, and every slice has determinant 1.  Slices are built _BATCH at a
-    time and each batch is reduced pairwise before it meets the state.
+    Each slice is the 6th-order Magnus step of y' = A y, A = [[0, 1], [-q,
+    0]], q = (E - V)^2 - m^2, from A_1, A_2, A_3 at the Gauss nodes 1/2 -
+    sqrt(15)/10, 1/2 and 1/2 + sqrt(15)/10 of the slice: with alpha1 = h
+    A_2, alpha2 = sqrt(15) h/3 (A_3 - A_1), alpha3 = 10h/3 (A_3 - 2 A_2 +
+    A_1), C1 = [alpha1, alpha2] and C2 = -[alpha1, 2 alpha3 + C1]/60, the
+    exponent is
+
+        Omega = alpha1 + alpha3/12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2]/240.
+
+    Omega is traceless, so its exponential is cosh(s) I + sinh(s)/s Omega
+    with s^2 = -det Omega, and every slice has determinant 1.  Slices are
+    built _BATCH at a time and each batch is reduced pairwise before it
+    meets the state.
     """
+    # tanh(u -+ d) = (t -+ tau)/(1 -+ t tau) gives the outer nodes from the
+    # midpoint's tanh t
+    tau = math.tanh(b * _NODE * h)
     for lo in range(0, n, _BATCH):
         mid = x_start + h * (np.arange(lo, min(lo + _BATCH, n)) + 0.5)
-        w1 = energy - a * np.tanh(b * (mid - _GAUSS * h))
-        w2 = energy - a * np.tanh(b * (mid + _GAUSS * h))
+        t = np.tanh(b * mid)
+        t_tau = t * tau
+        w1 = energy - a * ((t - tau) / (1.0 - t_tau))
+        w2 = energy - a * t
+        w3 = energy - a * ((t + tau) / (1.0 + t_tau))
         q1 = (w1 - m) * (w1 + m)
         q2 = (w2 - m) * (w2 + m)
-        c = _COMMUTATOR * h * h * (q2 - q1)
-        lower = -0.5 * h * (q1 + q2)
-        s2 = c * c + h * lower
-        osc = s2 <= 0.0
+        q3 = (w3 - m) * (w3 + m)
+        # in the basis U = [[0, 1], [0, 0]], L = [[0, 0], [1, 0]], H = [[1, 0],
+        # [0, -1]], with [U, L] = H, [H, U] = 2U and [H, L] = -2L: alpha1 = h U
+        # - p L, alpha2 = e L, alpha3 = f L, and Omega = upper U + lower L +
+        # c H
+        p = h * q2
+        e = (-_ALPHA2 * h) * (q3 - q1)
+        f = (-10.0 / 3.0 * h) * (q3 - 2.0 * q2 + q1)
+        e2 = e * e
+        hp = h * p
+        upper = h + (h * h / 3600.0) * (h * e2 - 20.0 * f)
+        lower = f / 12.0 - p - (h / 3600.0) * (f * (20.0 * p - f) + e2 * (30.0 + hp))
+        c = (-h / 12.0) * e * (1.0 + hp / 15.0 - h / 600.0 * f)
+        s2 = c * c + upper * lower
         root = np.sqrt(np.abs(s2))
-        # each branch reads its own slices only, so cosh never sees a long
-        # oscillatory slice
-        r_osc = np.where(osc, root, 0.0)
-        r_exp = np.where(osc, 0.0, root)
-        diag = np.where(osc, np.cos(r_osc), np.cosh(r_exp))
-        # sin(s)/s or sinh(s)/s; root > 0 wherever osc is false
-        ratio = np.where(osc, np.sinc(r_osc / np.pi),
-                         np.sinh(r_exp) / np.where(osc, 1.0, root))
+        # cos and sin(s)/s where s^2 < 0, cosh and sinh(s)/s where s^2 > 0,
+        # each from its own slices only, so cosh never sees a long
+        # oscillatory slice; both are 1 at s = 0
+        osc = s2 < 0.0
+        hyp = s2 > 0.0
+        diag = np.ones_like(root)
+        np.cos(root, out=diag, where=osc)
+        np.cosh(root, out=diag, where=hyp)
+        ratio = np.ones_like(root)
+        np.sin(root, out=ratio, where=osc)
+        np.sinh(root, out=ratio, where=hyp)
+        np.divide(ratio, root, out=ratio, where=root > 0.0)
         mats = np.empty((len(mid), 2, 2))
         mats[:, 0, 0] = diag + ratio * c
-        mats[:, 0, 1] = ratio * h
+        mats[:, 0, 1] = ratio * upper
         mats[:, 1, 0] = ratio * lower
         mats[:, 1, 1] = diag - ratio * c
         # n is a power of two, so every batch halves evenly
@@ -110,7 +138,11 @@ def numeric_rt(pot: Potential, particle: Particle, energy: float) -> NumericRT:
     x_right = _SPAN / pot.b
     k_inc = 2.0 * pot.b * k.nu.real
     k_trans = 2.0 * pot.b * k.mu.real
-    y0 = np.array([1.0, 1j * k_trans])
+    # the state grows by 1/sqrt|T| across a barrier; long double carries it
+    # to about e^11356 where the platform has the x87 format (e^709 in
+    # doubles), so a deep-tunnelling T underflows to 0 instead of every pass
+    # overflowing
+    y0 = np.array([1.0, 1j * k_trans], dtype=np.clongdouble)
     n, total, prev = _FIRST_SLICES, 0, None
     # a pass whose slices advance the fastest wave by more than pi aliases,
     # and two aliased passes can agree on a wrong R and T, so none is run;

@@ -184,10 +184,15 @@ def _kinematics(pot: Potential, particle: Particle,
     """nu and mu over an energy array, as the rows of one (2, n) array, and
     the shared lam; no checks (call under np.errstate(all="ignore"))."""
     a, b, m = pot.a, pot.b, particle.m
-    # E + a and E - a
-    shifted = np.add.outer((a, -a), energy)
-    # (e - m)(e + m) keeps its digits near a threshold, where e*e - m*m cancels
-    excess = (shifted - m) * (shifted + m)
+    # E + a and E - a, and their rounding errors (Knuth's TwoSum)
+    side = np.array([[a], [-a]])
+    shifted = side + energy
+    back = shifted - side
+    err = (side - (shifted - back)) + (energy - back)
+    # (e - m)(e + m) keeps its digits near a threshold, where e*e - m*m cancels;
+    # there e -+ m is exact and err restores the digits the rounding of E +- a
+    # took
+    excess = ((shifted - m) + err) * ((shifted + m) + err)
     # sqrt(excess)/(2b), with the sign of E +- a, in a propagating channel,
     # and i sqrt(-excess)/(2b) in an evanescent one; -excess keeps the -0.0
     # of sqrt(-0.0) at a threshold, and dividing the parts separately gives
@@ -348,8 +353,9 @@ def _propagating_rt(nu_mu: np.ndarray, lam: complex, a: float, b: float, m: floa
     4 exp(2 pi min(g, 0)) and the sinh terms by 4 exp(-2 pi max(g, 0)), g =
     kappa - (p + q) (kappa = 0 for real lam), so nothing overflows, and the
     p - q term's exponent is p + q - 2 min(p, q), so that both sinh terms
-    and T share one scale and R + T = 1 holds to rounding; for a = 0 (lam =
-    1, nu = mu) R = 0 and T = 1 exactly.  For b < 2|a|, kappa - (p + q) in
+    and T share one scale and R + T = 1 holds to rounding; |p - q| itself
+    is |a E|/b^2/(p + q), which does not cancel; for a = 0 (lam = 1, nu =
+    mu) R = 0 and T = 1 exactly.  For b < 2|a|, kappa - (p + q) in
     doubles would err by about 2 pi |a|/b 2^-52, so g comes from the inputs,
 
         2b g = m^2/(|E+a| + 2bp) + m^2/(|E-a| + 2bq) - 2 max(|E| - |a|, 0)
@@ -377,7 +383,11 @@ def _propagating_rt(nu_mu: np.ndarray, lam: complex, a: float, b: float, m: floa
     s = s * np.exp(_TWO_PI * np.minimum(gap, 0.0))
     scale = np.exp(-_TWO_PI * np.maximum(gap, 0.0))
     e_sum = np.expm1(-_TWO_PI * (p + q))
-    e_diff = np.expm1(-_TWO_PI * np.abs(p - q))
+    # |p - q| = |a E|/b^2/(p + q) by p^2 - q^2 = a E/b^2, without the
+    # cancellation of p - q where |E| << |a| (it is exactly 0 for a = 0 or E =
+    # 0); |E|/(p + q)/b is at most 1 in band III and of order 1 + sqrt(m/|a|)
+    # in bands I and V, so nothing overflows
+    e_diff = np.expm1(-_TWO_PI * (np.abs(energy) / (p + q) / b * (abs(a) / b)))
     sh_sum = scale * e_sum * e_sum
     sh_diff = scale * np.exp(-2.0 * _TWO_PI * np.minimum(p, q)) * e_diff * e_diff
     # |sinh(2 pi nu) sinh(2 pi mu)| on the same scale

@@ -54,6 +54,12 @@ class TestNumericRT:
         assert max(abs(res.R - ana.R), abs(res.T - ana.T)) <= res.error_estimate
         assert abs(res.R + res.T - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("energy", [2.5, 7.0])
+    def test_slice_count(self, pot, particle, energy):
+        # 4,032 slices with the 6th-order step (passes of 64 to 2,048); the
+        # 4th-order step took 32,704
+        assert numeric_rt(pot, particle, energy).steps <= 8128
+
     def test_high_energy_long_window(self):
         # (|E| + a)/b = 70: far more oscillations across the window than at
         # the fixtures
@@ -126,6 +132,17 @@ class TestNumericRT:
         assert abs(res.R - ana.R) <= 1e-8 * scale
         assert abs(res.T - ana.T) <= 1e-8 * scale
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).maxexp <= 1024,
+                        reason="long double is double here")
+    def test_barrier_beyond_double_range(self):
+        # band III at E = 0 with a barrier of about e^800: the state leaves the
+        # double range on every pass, and T underflows to 0
+        pot, particle = Potential(1.5, 1.5 / 1000.0), Particle(1.0)
+        res = numeric_rt(pot, particle, 0.0)
+        ana = scattering_coefficients(pot, particle, 0.0)
+        assert (ana.R, ana.T) == (1.0, 0.0)
+        assert res.R == 1.0 and res.T == 0.0
+
     def test_step_budget_exhaustion(self, pot, particle, monkeypatch):
         monkeypatch.setattr(oracle, "_MAX_SLICES", 100)
         with pytest.raises(NonConvergenceError):
@@ -145,10 +162,10 @@ class TestNumericRT:
 _SLICES = 16384
 
 
-def _window_pass(pot, particle, energy, psi0, dpsi0):
+def _window_pass(pot, particle, energy, psi0, dpsi0, slices=_SLICES):
     x_right = 14.5 / pot.b
     return _magnus_pass(pot.a, pot.b, particle.m, energy, x_right,
-                        -2.0 * x_right / _SLICES, _SLICES,
+                        -2.0 * x_right / slices, slices,
                         np.array([psi0, dpsi0], dtype=complex))
 
 
@@ -159,6 +176,15 @@ class TestIntegrator:
         p2, d2 = _window_pass(pot, particle, 7.0, 0.0, 1.0)
         wronskian = p1 * d2 - p2 * d1
         assert abs(wronskian - 1.0) <= 1e-9
+
+    def test_sixth_order(self, pot, particle):
+        # each doubling of the slices cuts the error of a 6th-order step 64
+        # times (a 4th-order one 16 times); a wrong coefficient in the
+        # exponent lowers the order, which slice doubling alone would hide
+        ref = _window_pass(pot, particle, 7.0, 1.0, 0.0, 65536)
+        errs = [np.abs(_window_pass(pot, particle, 7.0, 1.0, 0.0, n) - ref).max()
+                for n in (128, 256, 512)]
+        assert errs[0] >= 40.0 * errs[1] and errs[1] >= 40.0 * errs[2]
 
     def test_free_amplitude_preserved(self):
         # |psi| of a free plane wave is a unit constant of the motion

@@ -279,7 +279,7 @@ class TestScatteringCoefficients:
 
     def test_free_particle_exact(self, particle):
         pot = Potential(0.0, 3.0)
-        for energy in (1.5, 2.0, 5.0, 9.0):
+        for energy in (1.5, 2.0, 5.0, 9.0, -2.0, -9.0):
             res = scattering_coefficients(pot, particle, energy)
             assert res.R == 0.0
             assert res.T == 1.0
@@ -357,6 +357,21 @@ class TestExtremeParameters:
         assert abs(res.R - r_ref) <= 1e-12 * scale
         assert abs(res.T - t_ref) <= 1e-12 * scale
         assert abs(res.R + res.T - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("a,b,m,energy", [
+        # band III with b >> |a| and |E| << |a|, where |nu| - |mu| ~ aE/b^2
+        # cancels in doubles and is the whole denominator
+        (1.0, 1e8, 0.1, 1e-8),
+        (1.0, 1e16, 0.5, 1e-15),
+        # band I 1.01e-9 past a + m, where the rounding of E - a was most of
+        # (E - a)^2 - m^2
+        (0.3, 1.0, 1.0, 1.30000000101),
+    ])
+    def test_exact_wave_number_gap(self, a, b, m, energy):
+        res = scattering_coefficients(Potential(a, b), Particle(m), energy)
+        r_ref, t_ref = _gamma_route_rt(a, b, m, energy)
+        tol = 1e-12 * max(1.0, abs(r_ref), abs(t_ref))
+        assert abs(res.R - r_ref) <= tol and abs(res.T - t_ref) <= tol
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(log_b=st.floats(-2.0, 6.0), a=st.floats(0.0, 500.0),
@@ -471,17 +486,30 @@ class TestOutOfRangeInputs:
             pass
 
 
-def _elementary_rt(nu, mu, lam, a, b):
-    """R and T of the elementary closed form at 50 digits from the double nu,
-    mu and lam of the array path, so that only the R/T arithmetic is tested;
-    1 - lam comes from a and b, as it does there."""
-    with mp.workdps(50):
-        nu, mu = mp.mpf(nu), mp.mpf(mu)
-        if lam.imag:
-            s = mp.cosh(mp.pi * mp.mpf(lam.imag)) ** 2
+def _elementary_rt(a, b, m, energy):
+    """R and T of the elementary closed form from the inputs (E, a, b, m),
+    so that the array path's nu, mu and lam are tested with its R/T
+    arithmetic.  E +- a and E +- a -+ m are exact, and the digits keep 20
+    after the point of pi (|nu| + |mu|) and pi kappa, and 20 of |nu| -
+    |mu|, which cancels to |aE|/b^2/(|nu| + |mu|)."""
+    digits = 30 + max(0.0, math.log10(abs(energy) + 2.0 * abs(a) + m) - math.log10(b))
+    if a and energy:
+        digits += max(0.0, 2.0 * math.log10(abs(energy) + abs(a))
+                      - math.log10(abs(a)) - math.log10(abs(energy)))
+    with mp.workdps(int(digits)):
+        a, b, m, energy = (mp.mpf(v) for v in (a, b, m, energy))
+
+        def half_wavenumber(shift):
+            w = mp.fadd(energy, shift, exact=True)
+            excess = mp.fsub(w, m, exact=True) * mp.fadd(w, m, exact=True)
+            return mp.sign(w) * mp.sqrt(excess) / (2 * b)
+
+        nu, mu = half_wavenumber(a), half_wavenumber(-a)
+        disc = b * b - 4 * a * a
+        if disc < 0:
+            s = mp.cosh(mp.pi * mp.sqrt(-disc) / (2 * b)) ** 2
         else:
-            a, b = mp.mpf(a), mp.mpf(b)
-            s = mp.sin(mp.pi * 2 * a * a / (b * (b + mp.sqrt(b * b - 4 * a * a)))) ** 2
+            s = mp.sin(mp.pi * 2 * a * a / (b * (b + mp.sqrt(disc)))) ** 2
         den = s + mp.sinh(mp.pi * (nu + mu)) ** 2
         refl = (s + mp.sinh(mp.pi * (nu - mu)) ** 2) / den
         trans = mp.sinh(2 * mp.pi * nu) * mp.sinh(2 * mp.pi * mu) / den
@@ -551,7 +579,7 @@ class TestArrayPath:
                 assert (res.R, res.T) == (1.0, 0.0)
                 continue
             nu, mu = table.nu[i].real, table.mu[i].real
-            r_ref, t_ref = _elementary_rt(nu, mu, table.lam, a, b)
+            r_ref, t_ref = _elementary_rt(a, b, m, energy)
             # the exponents 2 pi (|nu| + |mu|) and 2 pi kappa carry a rounding
             # error of about eps times their size into R and T
             big = max(abs(nu) + abs(mu), table.lam.imag)
@@ -568,8 +596,7 @@ class TestArrayPath:
             scattering_coefficients(Potential(1.0, 1e81), particle, 0.0)
         pot = Potential(1.0, 1e77)
         res = scattering_coefficients(pot, particle, 0.0)
-        k = kinematics(pot, particle, 0.0)
-        r_ref, t_ref = _elementary_rt(k.nu.real, k.mu.real, k.lam, 1.0, 1e77)
+        r_ref, t_ref = _elementary_rt(1.0, 1e77, 0.5, 0.0)
         assert abs(res.R - r_ref) <= 1e-14 * r_ref
         assert abs(res.T - t_ref) <= 1e-14 * r_ref
 
