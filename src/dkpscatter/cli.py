@@ -64,17 +64,12 @@ def _emit(chunks: Iterable[str], out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.writelines(chunks)
         return
-    fh = None
+    fh = open(out_path, "w", encoding="utf-8", newline="")
     try:
-        fh = open(out_path, "w", encoding="utf-8", newline="")
-        fh.writelines(chunks)
-        fh.close()
-        fh = None
+        with fh:
+            fh.writelines(chunks)
     except BaseException:
-        if fh is not None:
-            fh.close()
-        if os.path.exists(out_path):
-            os.remove(out_path)
+        os.remove(out_path)
         raise
 
 
@@ -104,8 +99,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     pot, par = Potential(args.a, args.b), Particle(args.m)
     if args.steps < 2:
         raise DkpScatterError("sweep needs at least 2 steps")
-    if not args.emin < args.emax:
-        raise DkpScatterError("sweep needs emin < emax")
+    # also false for a NaN or infinite bound, and where emax - emin overflows
+    if not 0.0 < args.emax - args.emin < math.inf:
+        raise DkpScatterError("sweep needs emin < emax, a finite distance apart")
     energies = np.linspace(args.emin, args.emax, args.steps)
     table = scattering_table(pot, par, energies)
     # skip lines in grid order, up to the first energy with another error
@@ -125,16 +121,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_regions(args: argparse.Namespace) -> int:
-    pot, par = Potential(args.a, args.b), Particle(args.m)
+    # the bands depend on a and m only
+    pot, par = Potential(args.a, 1.0), Particle(args.m)
     crits = critical_energies(pot, par)
     print("boundaries: " + " ".join(_fmt12(c) for c in crits))
     spanr = max(1.0, par.m)
     edges = [crits[0] - spanr, *crits, crits[-1] + spanr]
     for lo, hi in zip(edges[:-1], edges[1:]):
         if hi - lo <= 2 * BOUNDARY_EPS:
-            label = "empty"
-            span = f"{_fmt12(lo if lo in crits else hi)}"
-            print(f"(degenerate band at E = {span}: {label})")
+            print(f"(degenerate band at E = {_fmt12(lo if lo in crits else hi)}: empty)")
             continue
         mid = 0.5 * (lo + hi)
         token = classify_region(pot, par, mid).token
@@ -151,8 +146,8 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
     pot, par = Potential(args.a, args.b), Particle(args.m)
     if args.samples < 2:
         raise DkpScatterError("wavefunction needs at least 2 samples")
-    if not args.xmin < args.xmax:
-        raise DkpScatterError("wavefunction needs xmin < xmax")
+    if not 0.0 < args.xmax - args.xmin < math.inf:
+        raise DkpScatterError("wavefunction needs xmin < xmax, a finite distance apart")
     xs = np.linspace(args.xmin, args.xmax, args.samples)
     psi, phi, theta = wave_profile(xs, args.kind, pot, par, args.E)
     _emit(_csv("x,re_psi,im_psi,re_phi,im_phi,re_theta,im_theta",
@@ -163,29 +158,26 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
 
 class _Verifier:
     def __init__(self) -> None:
-        self.failures = 0
+        self.total = self.failures = 0
 
     def check(self, name: str, ok: bool, detail: str) -> None:
-        status = "PASS" if ok else "FAIL"
-        if not ok:
-            self.failures += 1
-        print(f"{status} {name}: {detail}")
+        self.total += 1
+        self.failures += not ok
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     pot = Potential(a=5.0, b=3.0)
     par = Particle(m=1.0)
     v = _Verifier()
-    quick = args.quick
 
-    n = 8 if quick else 40
-    table = _table(pot, par, np.concatenate([np.linspace(lo, hi, n) for lo, hi in (
+    table = _table(pot, par, np.concatenate([np.linspace(lo, hi, 40) for lo, hi in (
         (6.2, 9.8), (-3.8, 3.8), (-9.8, -6.2))]))
     worst = float(np.abs(table.R + table.T - 1.0).max())
     v.check("unitarity", worst <= 1e-10,
             f"max |R+T-1| = {worst:.3e} over propagating bands (limit 1e-10)")
 
-    energies = (2.5, 7.0) if quick else (1.5, 2.5, 3.5, 0.0, -2.0, 6.5, 7.0, 8.5)
+    energies = (1.5, 2.5, 3.5, 0.0, -2.0, 6.5, 7.0, 8.5)
     table = _table(pot, par, energies)
     refl, trans = table.R, table.T
     if args.flip_mu_sign:
@@ -197,7 +189,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"max |analytic - integrated| = {worst:.3e} over {len(energies)} "
             "energies (limit 1e-6)")
 
-    energies = (2.5, 7.0) if quick else (2.5, 3.0, 7.0, 8.0)
+    energies = (2.5, 3.0, 7.0, 8.0)
     table = _table(Potential(a=5.0, b=1e4), par, energies)
     ref = [step_rt(5.0, 1.0, energy) for energy in energies]
     worst = np.abs(np.array([table.R, table.T]).T - [(r.R, r.T) for r in ref]).max()
@@ -229,11 +221,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     v.check("evanescent-bands", r2 == 1.0 and t2 == 0.0 and r4 == 1.0 and t4 == 0.0,
             f"region II (R,T)=({r2},{t2}), region IV (R,T)=({r4},{t4})")
 
-    total = 6
     if v.failures:
-        print(f"{v.failures} of {total} checks failed")
+        print(f"{v.failures} of {v.total} checks failed")
         return 1
-    print(f"all {total} checks passed")
+    print(f"all {v.total} checks passed")
     return 0
 
 
@@ -245,10 +236,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_pot(p: argparse.ArgumentParser, need_b: bool = True) -> None:
+    def add_pot(p: argparse.ArgumentParser) -> None:
         p.add_argument("--a", type=float, required=True, help="step height a")
-        p.add_argument("--b", type=float, required=need_b, default=1.0,
-                       help="step steepness b > 0" + ("" if need_b else " (default 1)"))
+        p.add_argument("--b", type=float, required=True, help="step steepness b > 0")
         p.add_argument("--m", type=float, required=True, help="particle mass m > 0")
 
     p = sub.add_parser("point", help="R and T at one energy")
@@ -266,7 +256,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("regions", help="energy-band boundaries and labels")
-    add_pot(p, need_b=False)
+    p.add_argument("--a", type=float, required=True, help="step height a")
+    p.add_argument("--m", type=float, required=True, help="particle mass m > 0")
     p.set_defaults(func=_cmd_regions)
 
     p = sub.add_parser("wavefunction", help="sampled wave components on a grid")
@@ -280,8 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_wavefunction)
 
     p = sub.add_parser("verify", help="self-check battery")
-    p.add_argument("--quick", action="store_true",
-                   help="reduced grids, finishes in a few seconds")
     p.add_argument("--flip-mu-sign", action="store_true",
                    help="debug: negate mu in the analytic route "
                         "(verification must then fail)")

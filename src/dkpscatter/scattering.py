@@ -296,10 +296,7 @@ def classify_region(pot: Potential, particle: Particle, energy: float) -> Region
     I, both negative V, opposite signs III; only nu real II; only mu real IV.
     Raises InvalidParameterError for a non-finite energy and RangeError where
     the kinematics leave the floating-point range."""
-    try:
-        return _band(pot, particle, energy)[0]
-    except BoundaryEnergyError:
-        return Region.BOUNDARY
+    return _band(pot, particle, energy, _GUARDED)[0]
 
 
 def hypergeometric_parameters(k: KinematicParams) -> HypergeometricParams:

@@ -4,6 +4,17 @@ import pytest
 
 import dkpscatter as dk
 
+# Derandomized examples follow from the test alone: Hypothesis would otherwise
+# mix in the numeric literals of every loaded local module, so that a literal
+# added anywhere in src/ or tests/ moved the examples of every property test.
+try:
+    from hypothesis.internal.conjecture import providers as _providers
+except ImportError:
+    _providers = None
+if hasattr(_providers, "_get_local_constants"):
+    _NO_LOCAL_CONSTANTS = _providers.Constants()
+    _providers._get_local_constants = lambda: _NO_LOCAL_CONSTANTS
+
 
 @pytest.fixture(scope="session")
 def pot() -> dk.Potential:

@@ -92,6 +92,21 @@ class TestAssembleSpinor:
         with pytest.raises(InvalidParameterError):
             SpinorTriple(1.0 + 0j, 1.0 + 0j, 1.0 + 0j, (1.0, 0.0))
 
+    def test_array_polarization_accepted(self):
+        t = SpinorTriple(1.0 + 0j, 1.0 + 0j, 1.0 + 0j, np.array([0.6, 0.0, 0.8]))
+        assert t.polarization.tolist() == [0.6, 0.0, 0.8]
+
+    @pytest.mark.parametrize("polarization", [
+        np.array([[1.0, 0.0, 0.0]]),
+        np.array([1.0, 0.0]),
+        np.array([np.nan, 0.0, 0.0]),
+        (np.inf, 0.0, 0.0),
+        (1.0, np.nan, 0.0),
+    ])
+    def test_polarization_must_be_finite_three_vector(self, polarization):
+        with pytest.raises(InvalidParameterError, match="finite 3-vector"):
+            SpinorTriple(1.0 + 0j, 1.0 + 0j, 1.0 + 0j, polarization)
+
 
 class TestDkpResidual:
     def test_free_plane_wave(self):
@@ -120,6 +135,14 @@ class TestDkpResidual:
 
         res = dkp_residual(solution, 0.7, 1e-4, pot, particle, energy)
         assert res >= 1e-2
+
+    @pytest.mark.parametrize("h", [0.0, -1e-4])
+    def test_step_must_be_positive(self, pot, particle, h):
+        def solution(x: float) -> SpinorTriple:
+            return wavefunction(x, "transmitted", pot, particle, 7.0)
+
+        with pytest.raises(InvalidParameterError):
+            dkp_residual(solution, 0.3, h, pot, particle, 7.0)
 
     def test_scattering_solution(self, pot, particle):
         energy = 7.0

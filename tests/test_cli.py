@@ -8,10 +8,23 @@ import pytest
 
 from dkpscatter import Particle, Potential, scattering_coefficients, wavefunction
 from dkpscatter import cli, scattering
-from dkpscatter.cli import _build_parser, _emit, main
+from dkpscatter.cli import _build_parser, _emit, _Verifier, main
 
 POINT_ARGS = ["point", "--a", "5", "--b", "3", "--m", "1", "--E", "7"]
 SWEEP_ARGS = ["sweep", "--a", "5", "--b", "3", "--m", "1"]
+WAVE_ARGS = ["wavefunction", "--a", "5", "--b", "3", "--m", "1", "--E", "7",
+             "--kind", "incident"]
+# (lo, hi, count) that a grid command rejects: too few points, an empty
+# window, a NaN or infinite bound, and a width that overflows (the last three
+# made np.linspace warn, a traceback under error::RuntimeWarning)
+BAD_GRIDS = [
+    ("-1", "1", "1"),
+    ("2", "2", "5"),
+    ("nan", "1", "3"),
+    ("-1", "inf", "3"),
+    ("-inf", "1", "3"),
+    ("-1e308", "1e308", "3"),
+]
 
 
 def _parse_point(out: str) -> dict:
@@ -134,6 +147,16 @@ class TestSweep:
         assert main(args) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lo,hi,count", BAD_GRIDS)
+    def test_bad_grid_rejected(self, tmp_path, capsys, lo, hi, count):
+        target = tmp_path / "sweep.csv"
+        args = SWEEP_ARGS + [f"--emin={lo}", f"--emax={hi}", "--steps", count,
+                             "--out", str(target)]
+        assert main(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: sweep needs ")
+        assert not target.exists()
+
 
 class TestRegions:
     def test_band_listing(self, capsys):
@@ -184,6 +207,16 @@ class TestWavefunctionCommand:
         assert "error:" in capsys.readouterr().err
         assert not target.exists()
 
+    @pytest.mark.parametrize("lo,hi,count", BAD_GRIDS)
+    def test_bad_grid_rejected(self, tmp_path, capsys, lo, hi, count):
+        target = tmp_path / "wave.csv"
+        args = WAVE_ARGS + [f"--xmin={lo}", f"--xmax={hi}", "--samples", count,
+                            "--out", str(target)]
+        assert main(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: wavefunction needs ")
+        assert not target.exists()
+
     def test_unknown_kind_is_usage_error(self):
         args = ["wavefunction", "--a", "5", "--b", "3", "--m", "1", "--E", "7",
                 "--xmin", "0", "--xmax", "1", "--samples", "3",
@@ -207,18 +240,30 @@ class TestEmit:
 
 
 class TestVerify:
-    def test_quick_battery_passes(self, capsys):
-        assert main(["verify", "--quick"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") == 6
-        assert "FAIL" not in out
-        assert "all 6 checks passed" in out
+    def test_full_battery_passes(self, capsys):
+        assert main(["verify"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:-1]] == [
+            "PASS unitarity", "PASS oracle-equivalence", "PASS step-limit",
+            "PASS matrix-algebra", "PASS component-residuals",
+            "PASS evanescent-bands"]
+        assert "over 8 energies" in lines[1]
+        assert lines[-1] == "all 6 checks passed"
 
     def test_deliberate_sign_error_is_caught(self, capsys):
-        assert main(["verify", "--quick", "--flip-mu-sign"]) == 1
+        assert main(["verify", "--flip-mu-sign"]) == 1
         out = capsys.readouterr().out
         assert "FAIL oracle-equivalence" in out
-        assert "of 6 checks failed" in out
+        assert out.count("PASS") == 5
+        assert out.endswith("1 of 6 checks failed\n")
+
+    def test_checks_are_counted(self, capsys):
+        v = _Verifier()
+        for ok in (True, False, True):
+            v.check("c", ok, "detail")
+        assert (v.total, v.failures) == (3, 1)
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS c: detail", "FAIL c: detail", "PASS c: detail"]
 
 
 class TestParserReuse:
@@ -256,6 +301,15 @@ class TestUsage:
     def test_missing_argument(self):
         with pytest.raises(SystemExit) as exc:
             main(["point", "--a", "5", "--b", "3", "--m", "1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--quick"],
+        ["regions", "--a", "5", "--m", "1", "--b", "3"],
+    ])
+    def test_removed_option(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == 2
 
     def test_no_subcommand(self):

@@ -143,6 +143,27 @@ class TestNumericRT:
         assert (ana.R, ana.T) == (1.0, 0.0)
         assert res.R == 1.0 and res.T == 0.0
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).maxexp <= 1024,
+                        reason="long double is double here")
+    def test_non_finite_pass_never_counts(self, monkeypatch):
+        # band III behind a barrier beyond the double range: the
+        # 65,536-slice pass overflows in its float64 batch product, and the
+        # next two passes agree on the closed form's R = 1, T = -0.0
+        finite = []
+
+        def recorded(*args):
+            y = _magnus_pass(*args)
+            finite.append(bool(np.isfinite(y).all()))
+            return y
+
+        monkeypatch.setattr(oracle, "_magnus_pass", recorded)
+        pot, particle = Potential(2.0, 5e-4), Particle(1.0)
+        res = numeric_rt(pot, particle, 0.5)
+        ana = scattering_coefficients(pot, particle, 0.5)
+        assert not all(finite)
+        assert finite[-2:] == [True, True]
+        assert (res.R, res.T) == (ana.R, ana.T)
+
     def test_step_budget_exhaustion(self, pot, particle, monkeypatch):
         monkeypatch.setattr(oracle, "_MAX_SLICES", 100)
         with pytest.raises(NonConvergenceError):
