@@ -25,7 +25,6 @@ from .scattering import (
     Particle,
     Potential,
     ScatteringTable,
-    classify_region,
     critical_energies,
     scattering_table,
     step_rt,
@@ -121,24 +120,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_regions(args: argparse.Namespace) -> int:
-    # the bands depend on a and m only
+    # the bands depend on a and m only, and their labels on the order of the
+    # thresholds: IV (E + a closed) lies below II for a > 0, and the middle
+    # band has both channels open only for |a| > m
     pot, par = Potential(args.a, 1.0), Particle(args.m)
     crits = critical_energies(pot, par)
     print("boundaries: " + " ".join(_fmt12(c) for c in crits))
-    spanr = max(1.0, par.m)
-    edges = [crits[0] - spanr, *crits, crits[-1] + spanr]
-    for lo, hi in zip(edges[:-1], edges[1:]):
+    lower, upper = ("IV", "II") if pot.a > 0 else ("II", "IV")
+    middle = "III" if abs(pot.a) > par.m else "boundary"
+    print(f"V: E < {_fmt12(crits[0])}")
+    for token, lo, hi in zip((lower, middle, upper), crits, crits[1:]):
         if hi - lo <= 2 * BOUNDARY_EPS:
-            print(f"(degenerate band at E = {_fmt12(lo if lo in crits else hi)}: empty)")
-            continue
-        mid = 0.5 * (lo + hi)
-        token = classify_region(pot, par, mid).token
-        if lo == edges[0]:
-            print(f"{token}: E < {_fmt12(hi)}")
-        elif hi == edges[-1]:
-            print(f"{token}: E > {_fmt12(lo)}")
+            print(f"(degenerate band at E = {_fmt12(lo)}: empty)")
         else:
             print(f"{token}: {_fmt12(lo)} < E < {_fmt12(hi)}")
+    print(f"I: E > {_fmt12(crits[-1])}")
     return 0
 
 

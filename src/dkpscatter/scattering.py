@@ -484,18 +484,26 @@ def step_rt(a: float, m: float, energy: float) -> StepRT:
 
     k_incident = sign(E+a) sqrt((E+a)^2 - m^2), likewise k_transmitted with
     E-a; R = ((k_i - k_t)/(k_i + k_t))^2, T = 1 - R.  Raises ChannelClosed
-    when either channel is evanescent or exactly at threshold."""
+    when either channel is evanescent or exactly at threshold, and RangeError
+    where (E +- a)^2 overflows or where k_i + k_t is 0, the pole of R (E = 0
+    in band III)."""
     for name, val in (("a", a), ("m", m), ("energy", energy)):
         if not math.isfinite(val):
             raise InvalidParameterError(f"{name} must be finite")
     if m <= 0:
         raise InvalidParameterError(f"mass must be positive, got {m}")
-    disc_i = (energy + a) ** 2 - m * m
-    disc_t = (energy - a) ** 2 - m * m
+    try:
+        disc_i = (energy + a) ** 2 - m * m
+        disc_t = (energy - a) ** 2 - m * m
+    except OverflowError:
+        raise RangeError(f"sharp-step momenta out of floating-point range at "
+                         f"E={energy}, a={a}, m={m}") from None
     if disc_i <= 0 or disc_t <= 0:
         raise ChannelClosedError(
             f"sharp-step channels not both open at E={energy}")
     k_i = math.copysign(math.sqrt(disc_i), energy + a)
     k_t = math.copysign(math.sqrt(disc_t), energy - a)
+    if k_i + k_t == 0.0:
+        raise RangeError(f"sharp-step R at its pole k_i = -k_t at E={energy}, a={a}")
     refl = ((k_i - k_t) / (k_i + k_t)) ** 2
     return StepRT(k_i, k_t, refl, 1.0 - refl)

@@ -31,15 +31,19 @@ def log_gamma(z: complex) -> complex:
     negative real axis follow the limit from the upper half plane.  Satisfies
     log_gamma(z+1) = log_gamma(z) + Log(z) with the principal Log.
 
-    Raises InvalidParameterError for a non-finite z and PoleError at the
-    nonpositive integers.
+    Raises InvalidParameterError for a non-finite z, PoleError at the
+    nonpositive integers, and RangeError where the value is not finite (from
+    |z| of about 1e306 on).
     """
     z = complex(z)
     if not cmath.isfinite(z):
         raise InvalidParameterError(f"log_gamma argument must be finite, got {z}")
     if _kernels._near_nonpositive_int(z):
         raise PoleError(f"log_gamma pole at z={z}")
-    return _kernels.lgamma_c(z)
+    value = _kernels.lgamma_c(z)
+    if not cmath.isfinite(value):
+        raise RangeError(f"log_gamma({z}) overflows")
+    return value
 
 
 @np.errstate(all="ignore")

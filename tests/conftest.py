@@ -7,6 +7,8 @@ import dkpscatter as dk
 # Derandomized examples follow from the test alone: Hypothesis would otherwise
 # mix in the numeric literals of every loaded local module, so that a literal
 # added anywhere in src/ or tests/ moved the examples of every property test.
+# A derandomized test is seeded by a digest of its source: a test whose code
+# changed but whose examples must not takes its earlier digest as @seed.
 try:
     from hypothesis.internal.conjecture import providers as _providers
 except ImportError:

@@ -1,10 +1,15 @@
 """Command-line interface: output formats, exit codes, file handling, and the
 self-check battery."""
 
+import contextlib
+import io
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mp_reference import band
 
 from dkpscatter import Particle, Potential, scattering_coefficients, wavefunction
 from dkpscatter import cli, scattering
@@ -177,6 +182,42 @@ class TestRegions:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "boundaries: -2 0 0 2"
         assert "(degenerate band at E = 0: empty)" in lines
+
+    @pytest.mark.parametrize("a,m,edge,middle", [
+        # -a - m - 1 rounded onto -a - m: band V came out empty, III unbounded
+        ("1e17", "1", "1e+17", "III"),
+        # (E +- a)^2 overflowed where a band was labelled: status 1
+        ("1e200", "1", "1e+200", "III"), ("1", "1e200", "1e+200", "boundary")])
+    def test_far_thresholds(self, capsys, a, m, edge, middle):
+        assert main(["regions", "--a", a, "--m", m]) == 0
+        empty = "(degenerate band at E = {}: empty)"
+        assert capsys.readouterr().out.splitlines() == [
+            f"boundaries: -{edge} -{edge} {edge} {edge}", f"V: E < -{edge}",
+            empty.format(f"-{edge}"), f"{middle}: -{edge} < E < {edge}",
+            empty.format(edge), f"I: E > {edge}"]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(log_a=st.floats(-300.0, 300.0), log_m=st.floats(-300.0, 300.0),
+           log_ratio=st.floats(-3.0, 3.0), sign=st.sampled_from([1.0, -1.0]),
+           kind=st.sampled_from(["free", "ratio", "m", "0"]))
+    def test_labels_follow_band_rule(self, log_a, log_m, log_ratio, sign, kind):
+        # |a| and m log-uniform over 1e+-300, apart or within 1e3, |a| = m or
+        # a = 0; each label is the band of a point inside it
+        m = 10.0 ** log_m
+        a = sign * {"free": 10.0 ** log_a, "ratio": m * 10.0 ** log_ratio,
+                    "m": m, "0": 0.0}[kind]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["regions", f"--a={a!r}", f"--m={m!r}"]) == 0
+        lines = out.getvalue().splitlines()
+        crits = scattering.critical_energies(Potential(a, 1.0), Particle(m))
+        assert len(lines) == 6
+        assert band(a, m, crits[0] - max(1.0, -crits[0])) == lines[1].split(":")[0] == "V"
+        assert band(a, m, crits[3] + max(1.0, crits[3])) == lines[5].split(":")[0] == "I"
+        for line, lo, hi in zip(lines[2:5], crits, crits[1:]):
+            if hi - lo <= 2e-9:
+                assert line == f"(degenerate band at E = {cli._fmt12(lo)}: empty)"
+            else:
+                assert band(a, m, lo + 0.5 * (hi - lo)) == line.split(":")[0]
 
 
 class TestWavefunctionCommand:
