@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import beta_matrices, trilinear_residual
-from .errors import BoundaryEnergyError, DkpScatterError
+from .errors import BoundaryEnergyError, DkpScatterError, RangeError
 from .oracle import numeric_rt
 from .scattering import (
     BOUNDARY_EPS,
@@ -125,6 +125,8 @@ def _cmd_regions(args: argparse.Namespace) -> int:
     # band has both channels open only for |a| > m
     pot, par = Potential(args.a, 1.0), Particle(args.m)
     crits = critical_energies(pot, par)
+    if math.isinf(crits[0]) or math.isinf(crits[-1]):
+        raise RangeError(f"thresholds +-a +- m overflow at a={pot.a}, m={par.m}")
     print("boundaries: " + " ".join(_fmt12(c) for c in crits))
     lower, upper = ("IV", "II") if pot.a > 0 else ("II", "IV")
     middle = "III" if abs(pot.a) > par.m else "boundary"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChannelClosedError, NonConvergenceError
-from .scattering import Particle, Potential, Region, _band
+from .scattering import Particle, Potential, Region, _band, _scaled
 
 __all__ = ["NumericRT", "numeric_rt"]
 
@@ -135,9 +135,10 @@ def numeric_rt(pot: Potential, particle: Particle, energy: float) -> NumericRT:
     if region in (Region.II, Region.IV):
         raise ChannelClosedError(
             f"plane-wave decomposition needs both channels open, region {region.token}")
-    x_right = _SPAN / pot.b
-    k_inc = 2.0 * pot.b * k.nu.real
-    k_trans = 2.0 * pot.b * k.mu.real
+    a, b, m, energy_scaled = map(float, _scaled(pot, particle, energy))
+    x_right = _SPAN / b
+    k_inc = 2.0 * b * k.nu.real
+    k_trans = 2.0 * b * k.mu.real
     # the state grows by 1/sqrt|T| across a barrier; long double carries it
     # to about e^11356 where the platform has the x87 format (e^709 in
     # doubles), so a deep-tunnelling T underflows to 0 instead of every pass
@@ -147,13 +148,14 @@ def numeric_rt(pot: Potential, particle: Particle, energy: float) -> NumericRT:
     # a pass whose slices advance the fastest wave by more than pi aliases,
     # and two aliased passes can agree on a wrong R and T, so none is run;
     # q, and with it the wave number, peaks on the tails
-    while n * math.pi < 2.0 * x_right * max(abs(k_inc), abs(k_trans)):
+    fastest = max(abs(k_inc), abs(k_trans))
+    while n <= _MAX_SLICES and n * math.pi < 2.0 * x_right * fastest:
         n *= 2
     while n <= _MAX_SLICES:
         # an under-resolved pass may overflow, or leave R and T out of range;
         # the finiteness check judges it
         with np.errstate(all="ignore"):
-            psi, dpsi = _magnus_pass(pot.a, pot.b, particle.m, energy,
+            psi, dpsi = _magnus_pass(a, b, m, energy_scaled,
                                      x_right, -2.0 * x_right / n, n, y0)
             # twice the incident and reflected amplitudes, up to unit phases
             twice_in = psi + dpsi / (1j * k_inc)

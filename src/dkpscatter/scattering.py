@@ -4,7 +4,6 @@ and transmission, and the sharp-step limit."""
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -174,24 +173,36 @@ _I, _II, _III, _IV, _V, _BOUNDARY = range(len(_REGIONS))
 _SIGN_REGIONS = np.array([[_BOUNDARY, _IV, _IV], [_II, _I, _III], [_II, _III, _V]])
 
 
-def _lam_underflows(b: float) -> bool:
-    # lam needs b*b - 4a*a, which has lost its digits once b*b underflows
-    return b * b < sys.float_info.min
+def _scaled(pot: Potential, particle: Particle, energy: np.ndarray | float) -> tuple:
+    """a, b, m and E over 2^k per energy, k the binary exponent of max(|a|, m,
+    |E|): exact while they stay normal, so a ratio of them has the bits of the
+    inputs', and (E +- a)^2 - m^2 is in range at every exponent."""
+    k = -np.frexp(np.maximum(np.abs(energy), max(abs(pot.a), particle.m)))[1]
+    return tuple(np.ldexp(v, k) for v in (pot.a, pot.b, particle.m, energy))
 
 
-def _kinematics(pot: Potential, particle: Particle,
-                energy: np.ndarray) -> tuple[np.ndarray, complex]:
-    """nu and mu over an energy array, as the rows of one (2, n) array, and
-    the shared lam; no checks (call under np.errstate(all="ignore"))."""
-    a, b, m = pot.a, pot.b, particle.m
+def _interior_exponent(a: float, b: float) -> tuple[complex, float]:
+    """lam, and 1 - lam (0 for complex lam) free of the cancellation of a lam near
+    1 (b >> a), exactly 0 for a = 0; from (a, b) over the exponent of max(|a|, b),
+    where b is no smaller than in _scaled: lam is finite where _scaled's b is normal."""
+    a, b = np.ldexp((a, b), -math.frexp(max(abs(a), b))[1]).tolist()
+    disc = b * b - 4.0 * a * a
+    if disc < 0:
+        return complex(0.5, math.sqrt(-disc) / (2.0 * b) if b else math.inf), 0.0
+    root = math.sqrt(disc)
+    return complex((b + root) / (2.0 * b), 0.0), 2.0 * a * a / (b * (b + root))
+
+
+def _kinematics(a, b, m, energy: np.ndarray) -> np.ndarray:
+    """nu and mu at every energy, as the rows of one (2, n) array, from the
+    _scaled arrays; no checks (call under np.errstate(all="ignore"))."""
     # E + a and E - a, and their rounding errors (Knuth's TwoSum)
-    side = np.array([[a], [-a]])
+    side = np.array((a, -a))
     shifted = side + energy
     back = shifted - side
     err = (side - (shifted - back)) + (energy - back)
     # (e - m)(e + m) keeps its digits near a threshold, where e*e - m*m cancels;
-    # there e -+ m is exact and err restores the digits the rounding of E +- a
-    # took
+    # there e -+ m is exact, and err restores what the rounding of E +- a took
     excess = ((shifted - m) + err) * ((shifted + m) + err)
     # sqrt(excess)/(2b), with the sign of E +- a, in a propagating channel,
     # and i sqrt(-excess)/(2b) in an evanescent one; -excess keeps the -0.0
@@ -202,20 +213,14 @@ def _kinematics(pot: Potential, particle: Particle,
     nu_mu = np.empty(excess.shape, complex)
     nu_mu.real = np.where(open_, np.copysign(part, shifted), 0.0)
     nu_mu.imag = np.where(open_, 0.0, part)
-    disc = b * b - 4.0 * a * a
-    if disc >= 0:
-        lam = complex((b + math.sqrt(disc)) / (2.0 * b), 0.0)
-    else:
-        lam = complex(0.5, math.sqrt(-disc) / (2.0 * b))
-    return nu_mu, lam
+    return nu_mu
 
 
 def kinematics(pot: Potential, particle: Particle, energy: float) -> KinematicParams:
     """nu, mu, lam for the given configuration, from the one-energy
     scattering_table.  Purely algebraic; no boundary guard is applied here.
     Raises InvalidParameterError for a non-finite energy and RangeError
-    where nu, mu or lam leave the floating-point range or b*b underflows
-    (lam needs b*b - 4a*a, which then loses its digits)."""
+    where b/max(|a|, m, |E|) leaves the normal range (see scattering_table)."""
     return _band(pot, particle, energy, _GUARDED)[1]
 
 
@@ -256,8 +261,6 @@ class ScatteringTable:
         if status == _NON_FINITE:
             return InvalidParameterError(f"energy must be finite, got {energy}")
         if status == _KINEMATICS_RANGE:
-            if _lam_underflows(self.pot.b):
-                return RangeError(f"b*b underflows at b={self.pot.b}")
             return RangeError(
                 f"kinematics out of floating-point range at E={energy}, "
                 f"a={self.pot.a}, b={self.pot.b}, m={self.particle.m}")
@@ -294,8 +297,7 @@ def classify_region(pot: Potential, particle: Particle, energy: float) -> Region
     where both channels are evanescent (possible only for |a| < m).  Otherwise
     the label follows the reality pattern of (nu, mu): both real and positive
     I, both negative V, opposite signs III; only nu real II; only mu real IV.
-    Raises InvalidParameterError for a non-finite energy and RangeError where
-    the kinematics leave the floating-point range."""
+    Raises as kinematics does."""
     return _band(pot, particle, energy, _GUARDED)[0]
 
 
@@ -332,10 +334,10 @@ def connection_coefficients(k: KinematicParams) -> ConnectionCoefficients:
 _TWO_PI = 2.0 * math.pi
 
 
-def _propagating_rt(nu_mu: np.ndarray, lam: complex, a: float, b: float, m: float,
+def _propagating_rt(nu_mu: np.ndarray, lam: complex, one_minus_lam: float, a, b, m,
                     energy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """R and T for real nu and mu, the rows of nu_mu, of the mass m at the
-    energies on the step a tanh(bx), and where they are representable.
+    energies on the step a tanh(bx) (_scaled arrays), and where representable.
 
     R = |C/A|^2 and T = (mu/nu)/|A|^2 reduce, through |Gamma(1+iy)|^2 =
     pi y/sinh(pi y), |Gamma(1/2+iy)|^2 = pi/cosh(pi y) and Gamma(s)Gamma(1-s)
@@ -362,20 +364,17 @@ def _propagating_rt(nu_mu: np.ndarray, lam: complex, a: float, b: float, m: floa
     (E +- a, m) and (2|a|, b), and |E+a| + |E-a| = 2 max(|E|, |a|).  So
     g is exact to rounding, and the one rule left for R and T is a normal
     denominator (it is not once nu +- mu and 1 - lam fall below about
-    1e-154).  Call under np.errstate(all="ignore"), lam finite."""
+    1e-154).  Call under np.errstate(all="ignore")."""
     p_q = np.abs(nu_mu.real)
     p, q = p_q
     if lam.imag:
         # m^2 as m m/(...), which does not underflow
-        w = np.abs(np.add.outer((a, -a), energy)) + 2.0 * b * p_q
-        gap = (m * (m / w).sum(0) - 2.0 * np.maximum(np.abs(energy) - abs(a), 0.0)
-               - b * b / (2.0 * abs(a) + 2.0 * b * lam.imag)) / (2.0 * b)
+        w = np.abs(np.array((energy + a, energy - a))) + 2.0 * b * p_q
+        gap = (m * (m / w).sum(0) - 2.0 * np.maximum(np.abs(energy) - np.abs(a), 0.0)
+               - b * b / (2.0 * np.abs(a) + 2.0 * b * lam.imag)) / (2.0 * b)
         s = (1.0 + math.exp(-_TWO_PI * lam.imag)) ** 2
     else:
         gap = -(p + q)
-        # 1 - lam without the cancellation of a lam rounded near 1 (b >> a);
-        # exactly 0 for a = 0
-        one_minus_lam = 2.0 * a * a / (b * (b + math.sqrt(b * b - 4.0 * a * a)))
         s = 4.0 * math.sin(math.pi * one_minus_lam) ** 2
     s = s * np.exp(_TWO_PI * np.minimum(gap, 0.0))
     scale = np.exp(-_TWO_PI * np.maximum(gap, 0.0))
@@ -384,7 +383,7 @@ def _propagating_rt(nu_mu: np.ndarray, lam: complex, a: float, b: float, m: floa
     # cancellation of p - q where |E| << |a| (it is exactly 0 for a = 0 or E =
     # 0); |E|/(p + q)/b is at most 1 in band III and of order 1 + sqrt(m/|a|)
     # in bands I and V, so nothing overflows
-    e_diff = np.expm1(-_TWO_PI * (np.abs(energy) / (p + q) / b * (abs(a) / b)))
+    e_diff = np.expm1(-_TWO_PI * (np.abs(energy) / (p + q) / b * (np.abs(a) / b)))
     sh_sum = scale * e_sum * e_sum
     sh_diff = scale * np.exp(-2.0 * _TWO_PI * np.minimum(p, q)) * e_diff * e_diff
     # |sinh(2 pi nu) sinh(2 pi mu)| on the same scale
@@ -404,36 +403,31 @@ def scattering_table(pot: Potential, particle: Particle,
     decision of every entry point (bands as in classify_region).
 
     An energy is not ok, by precedence, where it is not finite
-    (InvalidParameterError); where nu, mu or lam leave the floating-point
-    range or b*b underflows (RangeError); within BOUNDARY_EPS of a threshold
-    or where neither channel propagates (BoundaryEnergyError, band BOUNDARY);
-    where R and T are not representable (RangeError, see _propagating_rt).
+    (InvalidParameterError); where b/max(|a|, m, |E|), the scale of every
+    value (see _scaled), is not normal (RangeError); within BOUNDARY_EPS of a
+    threshold or where neither channel propagates (BoundaryEnergyError, band
+    BOUNDARY); where R and T are not representable (RangeError).
     In bands II and IV, R and T are exactly 1 and 0."""
     energy = np.asarray(energies, dtype=float)
     if energy.ndim != 1:
         raise InvalidParameterError(f"energies must be 1-d, got shape {energy.shape}")
     with np.errstate(all="ignore"):
-        nu_mu, lam = _kinematics(pot, particle, energy)
+        a, b, m, scaled = _scaled(pot, particle, energy)
+        nu_mu = _kinematics(a, b, m, scaled)
         region = _SIGN_REGIONS[tuple(np.subtract(nu_mu.real > 0.0, nu_mu.real < 0.0,
                                                  dtype=np.int8))]
         status = np.where((region == _BOUNDARY) | (np.abs(np.subtract.outer(
             critical_energies(pot, particle), energy)).min(axis=0) <= BOUNDARY_EPS),
             _GUARDED, _OK)
         region[status == _GUARDED] = _BOUNDARY
-        if _lam_underflows(pot.b) or not cmath.isfinite(lam):
-            status[:] = _KINEMATICS_RANGE
-        else:
-            status[~np.isfinite(nu_mu).all(axis=0)] = _KINEMATICS_RANGE
+        # nu and mu overflow, or round to 0, where the scaled b is not normal
+        status[(b < sys.float_info.min) | (b > sys.float_info.max)] = _KINEMATICS_RANGE
         status[~np.isfinite(energy)] = _NON_FINITE
-        ok = status == _OK
+        lam, one_minus_lam = _interior_exponent(pot.a, pot.b)
+        refl, trans, representable = _propagating_rt(nu_mu, lam, one_minus_lam,
+                                                     a, b, m, scaled)
         evanescent = (region == _II) | (region == _IV)
-        if ok.any():
-            refl, trans, representable = _propagating_rt(nu_mu, lam, pot.a, pot.b,
-                                                         particle.m, energy)
-            status[ok & ~(evanescent | representable)] = _RT_RANGE
-        else:
-            # lam may be out of range, and the R/T formula needs it finite
-            refl = trans = np.full(energy.shape, math.nan)
+        status[(status == _OK) & ~(evanescent | representable)] = _RT_RANGE
     return ScatteringTable(pot, particle, energy, _REGIONS[region], nu_mu[0], nu_mu[1],
                            lam, np.where(evanescent, 1.0, refl),
                            np.where(evanescent, 0.0, trans), status == _OK, status)
@@ -483,27 +477,29 @@ def step_rt(a: float, m: float, energy: float) -> StepRT:
     """Sharp-step (b -> infinity) closed form.
 
     k_incident = sign(E+a) sqrt((E+a)^2 - m^2), likewise k_transmitted with
-    E-a; R = ((k_i - k_t)/(k_i + k_t))^2, T = 1 - R.  Raises ChannelClosed
-    when either channel is evanescent or exactly at threshold, and RangeError
-    where (E +- a)^2 overflows or where k_i + k_t is 0, the pole of R (E = 0
-    in band III)."""
+    E-a; R = ((k_i - k_t)/(k_i + k_t))^2, T = 1 - R, on the scale of max(|a|,
+    m, |E|).  Raises ChannelClosed when either channel is evanescent or exactly
+    at threshold, and RangeError where E +- a overflows or where k_i + k_t is
+    0, the pole of R (E = 0 in band III)."""
     for name, val in (("a", a), ("m", m), ("energy", energy)):
         if not math.isfinite(val):
             raise InvalidParameterError(f"{name} must be finite")
     if m <= 0:
         raise InvalidParameterError(f"mass must be positive, got {m}")
-    try:
-        disc_i = (energy + a) ** 2 - m * m
-        disc_t = (energy - a) ** 2 - m * m
-    except OverflowError:
+    if math.isinf(energy + a) or math.isinf(energy - a):
         raise RangeError(f"sharp-step momenta out of floating-point range at "
-                         f"E={energy}, a={a}, m={m}") from None
+                         f"E={energy}, a={a}, m={m}")
+    k = math.frexp(max(abs(a), m, abs(energy)))[1]
+    a_s, m_s, e_s = (math.ldexp(v, -k) for v in (a, m, energy))
+    disc_i = (e_s + a_s) ** 2 - m_s * m_s
+    disc_t = (e_s - a_s) ** 2 - m_s * m_s
     if disc_i <= 0 or disc_t <= 0:
         raise ChannelClosedError(
             f"sharp-step channels not both open at E={energy}")
-    k_i = math.copysign(math.sqrt(disc_i), energy + a)
-    k_t = math.copysign(math.sqrt(disc_t), energy - a)
+    k_i = math.copysign(math.sqrt(disc_i), e_s + a_s)
+    k_t = math.copysign(math.sqrt(disc_t), e_s - a_s)
     if k_i + k_t == 0.0:
         raise RangeError(f"sharp-step R at its pole k_i = -k_t at E={energy}, a={a}")
     refl = ((k_i - k_t) / (k_i + k_t)) ** 2
-    return StepRT(k_i, k_t, refl, 1.0 - refl)
+    # |k_i| <= |E + a| 2^-k and |k_t| <= |E - a| 2^-k: no overflow here
+    return StepRT(math.ldexp(k_i, k), math.ldexp(k_t, k), refl, 1.0 - refl)

@@ -31,7 +31,7 @@ def band(a, m, energy):
     return "II" if nu_open else "IV" if mu_open else "boundary"
 
 
-def _kinematics(a, b, m, energy):
+def kinematics(a, b, m, energy):
     """nu, mu (imaginary in a closed channel), lam, and b^2 - 4a^2."""
 
     def half_wavenumber(w):
@@ -59,7 +59,7 @@ def _interior(nu, mu, lam):
 def elementary_rt(a, b, m, energy):
     """R and T (mpf), both channels open, by the elementary closed form."""
     with mp.workdps(digits(a, b, m, energy)):
-        nu, mu, lam, disc = _kinematics(a, b, m, energy)
+        nu, mu, lam, disc = kinematics(a, b, m, energy)
         if disc < 0:
             s = mp.cosh(mp.pi * lam.imag) ** 2
         else:
@@ -72,7 +72,7 @@ def elementary_rt(a, b, m, energy):
 def gamma_rt(a, b, m, energy):
     """R = |C/A|^2 and T = (mu/nu)/|A|^2 (mpf), both channels open."""
     with mp.workdps(digits(a, b, m, energy)):
-        nu, mu, lam, _ = _kinematics(a, b, m, energy)
+        nu, mu, lam, _ = kinematics(a, b, m, energy)
         _, _, log_a, log_c = _interior(nu, mu, lam)
         return (mp.exp(2 * (mp.re(log_c) - mp.re(log_a))),
                 mu / nu * mp.exp(-2 * mp.re(log_a)))
@@ -81,7 +81,7 @@ def gamma_rt(a, b, m, energy):
 def wave(kind, a, b, m, energy, x):
     """(psi, theta = (i/m) psi') of a wave at x, as complex."""
     with mp.workdps(digits(a, b, m, energy)):
-        nu, mu, lam, _ = _kinematics(a, b, m, energy)
+        nu, mu, lam, _ = kinematics(a, b, m, energy)
         (a1, b1, c1), (a2, b2, c2), log_a, log_c = _interior(nu, mu, lam)
         # log amplitude, wave number, side of z = -e^{2 side b x}, parameters
         amp, k, side, params = {"incident": (log_a, nu, 1, (a1, b1, c1)),

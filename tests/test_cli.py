@@ -3,6 +3,7 @@ self-check battery."""
 
 import contextlib
 import io
+import math
 import subprocess
 import sys
 
@@ -116,16 +117,18 @@ class TestSweep:
         assert "within boundary guard" in skips[0]
 
     def test_typed_error_after_guarded_energy(self, tmp_path, capsys):
-        # E = 3.9999999996 is guarded, then (E + a)^2 overflows at 5e199:
-        # the skip line comes first, then the error, and no file is written
+        # E = 3.9999999996 is guarded, then nu = E/(2b) overflows at E = 5e9
+        # with b = 1e-300: the skip line comes first, then the error, and no
+        # file is written
         target = tmp_path / "sweep.csv"
-        args = SWEEP_ARGS + ["--emin", "3.9999999996", "--emax", "1e200",
-                             "--steps", "3", "--out", str(target)]
+        args = ["sweep", "--a", "5", "--b", "1e-300", "--m", "1",
+                "--emin", "3.9999999996", "--emax", "1e10",
+                "--steps", "3", "--out", str(target)]
         assert main(args) == 1
         assert capsys.readouterr().err.splitlines() == [
             "skipping E = 3.9999999996: within boundary guard",
-            "error: kinematics out of floating-point range at E=5e+199, "
-            "a=5.0, b=3.0, m=1.0",
+            "error: kinematics out of floating-point range at E=5000000002.0, "
+            "a=5.0, b=1e-300, m=1.0",
         ]
         assert not target.exists()
 
@@ -196,6 +199,13 @@ class TestRegions:
             empty.format(f"-{edge}"), f"{middle}: -{edge} < E < {edge}",
             empty.format(edge), f"I: E > {edge}"]
 
+    def test_infinite_thresholds(self, capsys):
+        # a + m overflows: an error line and status 1, not "E < -inf"
+        assert main(["regions", "--a", "1.7e308", "--m", "1e308"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(log_a=st.floats(-300.0, 300.0), log_m=st.floats(-300.0, 300.0),
            log_ratio=st.floats(-3.0, 3.0), sign=st.sampled_from([1.0, -1.0]),
@@ -265,6 +275,64 @@ class TestWavefunctionCommand:
         with pytest.raises(SystemExit) as exc:
             main(args)
         assert exc.value.code == 2
+
+
+def _band_energy(band, a, m, margin, u):
+    """An energy in band I, III or V of the step (a > m), margin m from the
+    thresholds, at the fraction u of its range."""
+    if band == "III":
+        edge = a - m * (1.0 + margin)
+        return -edge + 2.0 * edge * u
+    energy = a + m + m * (margin + (2.0 - margin) * u)
+    return energy if band == "I" else -energy
+
+
+def _status(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+class TestBenchmarkFamilies:
+    """The parameter families of the benchmark's workloads: every command
+    exits with status 0 or 1 there, and no exception leaves main."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(m=st.floats(0.5, 2.0), ratio=st.floats(2.0, 4.0),
+           band=st.sampled_from(["I", "III"]), u=st.floats(0.0, 1.0),
+           q=st.floats(2.0, 3.0))
+    def test_wavefunction(self, m, ratio, band, u, q):
+        a = m * ratio
+        energy = _band_energy(band, a, m, 0.2, u)
+        b = (abs(energy) + a) / q
+        span = 2.0 / b
+        for kind in ("incident", "reflected", "transmitted"):
+            assert _status(["wavefunction", "--a", repr(a), "--b", repr(b),
+                            "--m", repr(m), "--E", repr(energy),
+                            "--xmin", repr(-span), "--xmax", repr(span),
+                            "--samples", "200", "--kind", kind]) in (0, 1)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(m=st.floats(0.5, 2.0), log_b=st.floats(math.log(0.5), math.log(8.0)))
+    def test_sweep(self, m, log_b):
+        # a = 3m on [-6m, 6m], with a grid point on every threshold
+        assert _status(["sweep", "--a", repr(3.0 * m), "--b", repr(math.exp(log_b)),
+                        "--m", repr(m), "--emin", repr(-6.0 * m),
+                        "--emax", repr(6.0 * m), "--steps", "241"]) in (0, 1)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(m=st.floats(0.5, 2.0), ratio=st.floats(1.5, 4.0),
+           log_b=st.floats(math.log(0.5), math.log(8.0)),
+           band=st.sampled_from(["I", "II", "III", "IV", "V"]), u=st.floats(0.0, 1.0))
+    def test_point(self, m, ratio, log_b, band, u):
+        a = m * ratio
+        if band in ("II", "IV"):
+            energy = a - m + 2.0 * m * (0.05 + 0.9 * u)
+            energy = energy if band == "II" else -energy
+        else:
+            energy = _band_energy(band, a, m, 0.05, u)
+        assert _status(["point", "--a", repr(a), "--b", repr(math.exp(log_b)),
+                        "--m", repr(m), "--E", repr(energy)]) in (0, 1)
 
 
 class TestEmit:

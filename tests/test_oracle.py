@@ -1,6 +1,8 @@
 """Direct-integration route: agreement with frozen fixtures and with the
 closed form, conservation properties, and failure modes."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,19 @@ class TestNumericRT:
         res = numeric_rt(pot, particle, energy)
         assert abs(res.R - r_ref) <= 1e-7
         assert abs(res.T - t_ref) <= 1e-7
+
+    @pytest.mark.parametrize("k", [520, 900])
+    def test_power_of_two_scale(self, pot, particle, k):
+        # the integration runs on the ratios of (a, b, m, E): at 2^k times
+        # (5, 3, 1, E), where (E +- a)^2 overflows as the inputs are, every
+        # pass and so R, T and the slice count are those at (5, 3, 1, E)
+        far_pot = Potential(math.ldexp(5.0, k), math.ldexp(3.0, k))
+        far_particle = Particle(math.ldexp(1.0, k))
+        for energy, _, _ in ODE_RT_FIXTURES:
+            ref = numeric_rt(pot, particle, energy)
+            res = numeric_rt(far_pot, far_particle, math.ldexp(energy, k))
+            assert (res.R.hex(), res.T.hex(), res.steps) \
+                == (ref.R.hex(), ref.T.hex(), ref.steps)
 
     def test_default_unitarity(self, pot, particle):
         for energy in (1.5, 2.5, 7.0, -7.0):

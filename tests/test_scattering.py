@@ -1,13 +1,16 @@
 """Kinematics, band classification, connection coefficients, reflection and
 transmission, conserved currents, and the sharp-step limit."""
 
+import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 from mp_reference import band, elementary_rt, gamma_rt
+from mp_reference import kinematics as mp_kinematics
 
 from dkpscatter import (
     BoundaryEnergyError,
@@ -15,6 +18,7 @@ from dkpscatter import (
     DkpScatterError,
     EvanescentIncidentError,
     InvalidParameterError,
+    NonConvergenceError,
     Particle,
     PoleError,
     Potential,
@@ -385,20 +389,72 @@ ENTRY_POINTS = {
 }
 
 
+# (a, b, E, error, the entry points that raise it)
+_TYPED_ERRORS = [
+    (5.0, 3.0, math.inf, InvalidParameterError, sorted(ENTRY_POINTS)),
+    (5.0, 3.0, -math.inf, InvalidParameterError, sorted(ENTRY_POINTS)),
+    (5.0, 3.0, math.nan, InvalidParameterError, sorted(ENTRY_POINTS)),
+    # a Gamma ratio of the waves and fluxes overflows at |nu| = 5e154
+    (1e155, 1.0, 0.0, RangeError, ["asymptotic_wavefunction", "currents", "wavefunction"]),
+    # nu and mu of 1e-300, 1 - lam of 1e-600: the R/T denominator and |A|^2
+    # underflow, and |2bx| = 2e299 at x = 0.1
+    (5.0, 1e300, 7.0, RangeError,
+     ["asymptotic_wavefunction", "currents", "scattering_coefficients", "wavefunction"]),
+    # a/b, and E/b, of 1e310: nu, mu and lam overflow
+    (1e10, 1e-300, 0.0, RangeError, sorted(ENTRY_POINTS)),
+    (5.0, 1e-300, 1e10, RangeError, sorted(ENTRY_POINTS)),
+    (5.0, 1e-310, 7.0, RangeError, sorted(ENTRY_POINTS)),
+]
+
+# points whose inputs are far from 1 but whose ratios are ordinary, where
+# every entry point raised RangeError while (E + a)^2 or b^2 left the range:
+# (a, b, E, the entry points that return there or reach their own limit)
+_LIFTED = [
+    (5.0, 3.0, 1e200, sorted(ENTRY_POINTS)),
+    (1e155, 1.0, 0.0, ["classify_region", "kinematics", "numeric_rt",
+                       "scattering_coefficients"]),
+    (5.0, 1e300, 7.0, ["classify_region", "kinematics", "numeric_rt"]),
+    (1e-300, 1e-200, 2.0, sorted(ENTRY_POINTS)),
+]
+
+
 class TestOutOfRangeInputs:
-    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
-    @pytest.mark.parametrize("a,b,energy,error", [
-        (5.0, 3.0, math.inf, InvalidParameterError),
-        (5.0, 3.0, -math.inf, InvalidParameterError),
-        (5.0, 3.0, math.nan, InvalidParameterError),
-        (5.0, 3.0, 1e200, RangeError),       # (E + a)^2 overflows
-        (1e155, 1.0, 0.0, RangeError),       # (E + a)^2 and a^2 overflow
-        (5.0, 1e300, 7.0, RangeError),       # b^2 overflows, so lam does
-        (1e-300, 1e-200, 2.0, RangeError),   # b^2 underflows
-    ])
+    @pytest.mark.parametrize("a,b,energy,error,entry", [
+        (*row[:4], entry) for row in _TYPED_ERRORS for entry in row[4]])
     def test_typed_error(self, entry, a, b, energy, error):
         with pytest.raises(error):
             ENTRY_POINTS[entry](Potential(a, b), Particle(1.0), energy)
+
+    @pytest.mark.parametrize("a,b,energy,entry", [
+        (*row[:3], entry) for row in _LIFTED for entry in row[3]])
+    def test_lifted_refusal(self, a, b, energy, entry):
+        pot, particle = Potential(a, b), Particle(1.0)
+        if entry == "numeric_rt" and b < 1e300:
+            # |nu| from 5e154 up needs more slices than the cap
+            with pytest.raises(NonConvergenceError):
+                numeric_rt(pot, particle, energy)
+            return
+        res = ENTRY_POINTS[entry](pot, particle, energy)
+        if entry == "scattering_coefficients":
+            # R = 2, T = -1 in band III at (1e155, 1, 1, 0); R = 0, T = 1
+            # in band I at the others
+            r_ref, t_ref = elementary_rt(a, b, 1.0, energy)
+            assert abs(res.R - r_ref) <= 1e-15 and abs(res.T - t_ref) <= 1e-15
+        elif entry == "classify_region":
+            assert res.token == band(a, 1.0, energy)
+        elif entry == "kinematics":
+            for value, ref in zip(res, mp_kinematics(a, b, 1.0, energy)):
+                assert abs(value - complex(ref)) <= 1e-15 * abs(ref)
+        elif entry == "numeric_rt":
+            # b = 1e300 is the sharp step
+            ref = step_rt(a, 1.0, energy)
+            assert abs(res.R - ref.R) <= 1e-10 and abs(res.T - ref.T) <= 1e-10
+        elif entry == "currents":
+            assert all(map(math.isfinite, res))
+            assert abs(res.incident + res.reflected - res.transmitted) \
+                <= 1e-12 * res.incident
+        else:
+            assert all(map(cmath.isfinite, (res.psi, res.phi, res.theta)))
 
     def test_underflowing_rt_terms(self):
         # band III at E = 0 with nu = -mu ~ 1e-150 and 1 - lam ~ 1e-300:
@@ -415,12 +471,15 @@ class TestOutOfRangeInputs:
             currents(Potential(a, b), Particle(1.0), energy)
 
     def test_kinematics_underflowing_b_squared(self):
-        with pytest.raises(RangeError):
-            kinematics(Potential(0.0, 1e-160), Particle(1.0), 2.0)
-        # the smallest b whose square is still normal keeps its lam
-        k = kinematics(Potential(0.0, 1.5e-154), Particle(1.0), 2.0)
-        assert k.lam == 1.0
+        # b*b underflows at b = 1e-160 and 1e-300 as the inputs are, but not
+        # on the scale lam and nu are formed on
+        for b in (1e-160, 1.5e-154, 1e-300):
+            k = kinematics(Potential(0.0, b), Particle(1.0), 2.0)
+            assert k.lam == 1.0 and k.mu == k.nu
+            assert abs(k.nu - math.sqrt(3.0) / (2.0 * b)) <= 1e-15 * k.nu.real
 
+    @seed(int("993d45f648d3494766474ff9d9f3ed76d6a7c4c93ecca9d5a378b9f704ed7e48"
+              "4edb383f366a364fc660f5efd9d2f04b", 16))
     @settings(max_examples=1500, deadline=None, derandomize=True)
     @given(log_a=st.floats(-300.0, 300.0), log_b=st.floats(-300.0, 300.0),
            log_m=st.floats(-300.0, 300.0), log_e=st.floats(-300.0, 300.0),
@@ -436,10 +495,14 @@ class TestOutOfRangeInputs:
         else:
             assert math.isfinite(res.R) and math.isfinite(res.T)
             assert abs(res.R + res.T - 1.0) <= 1e-12 * max(1.0, res.R)
-        try:
-            classify_region(pot, particle, energy)
-        except DkpScatterError:
-            pass
+        for entry in (classify_region, kinematics, currents,
+                      lambda pot, particle, e: step_rt(pot.a, particle.m, e)):
+            try:
+                values = entry(pot, particle, energy)
+            except DkpScatterError:
+                continue
+            if entry is not classify_region:
+                assert all(map(cmath.isfinite, values))
 
 
 def _bits(x):
@@ -514,6 +577,29 @@ class TestArrayPath:
             tol = (1e-14 + 2.0 * math.pi * big * 2.0 ** -52) \
                 * max(1.0, abs(r_ref), abs(t_ref))
             assert abs(res.R - r_ref) <= tol and abs(res.T - t_ref) <= tol
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=_energy_arrays(), k=st.integers(-1000, 1000))
+    def test_power_of_two_scale(self, case, k):
+        # the table at 2^k (a, b, m, E) has the bits of the table at (a, b, m,
+        # E) wherever both are ok; only the absolute guard tells them apart
+        a, b, m, energies = case
+        with np.errstate(over="ignore"):
+            scaled = np.ldexp([a, b, m, *energies], k)
+        exact = np.ldexp(scaled, -k) == [a, b, m, *energies]
+        assume(exact[:3].all())
+        tables = [scattering_table(Potential(a_, b_), Particle(m_), e)
+                  for a_, b_, m_, *e in ([a, b, m, *energies], scaled.tolist())]
+        for i in np.flatnonzero(exact[3:]):
+            errors = [table.error(i) for table in tables]
+            if not any(isinstance(err, BoundaryEnergyError) for err in errors):
+                assert [type(err) for err in errors[1:]] == [type(errors[0])]
+            if tables[0].ok[i] and tables[1].ok[i]:
+                assert tables[0].region[i] is tables[1].region[i]
+                assert tables[0].lam == tables[1].lam
+                for field in ("R", "T", "nu", "mu"):
+                    first, second = (getattr(table, field)[i] for table in tables)
+                    assert first.tobytes() == second.tobytes()
 
     def test_subnormal_denominator(self):
         # band III at E = 0 with 1 - lam ~ a^2/b^2: the denominator is S alone,
@@ -621,12 +707,30 @@ class TestStepRT:
         with pytest.raises(ChannelClosedError):
             step_rt(5.0, 1.0, energy)
 
-    @pytest.mark.parametrize("a,energy", [(5.0, 0.0), (5.0, 5e-324), (5.0, 1e200),
-                                          (1e200, 3.0)])
+    @pytest.mark.parametrize("a,energy", [(5.0, 0.0), (5.0, 5e-324), (1e200, 3.0),
+                                          (1e308, 1.7e308)])
     def test_out_of_range(self, a, energy):
-        # k_i = -k_t, the pole of R, at the first two; (E +- a)^2 overflows
+        # k_i = -k_t, the pole of R, at the first three (k_i and k_t round to
+        # opposite values at the third); E + a overflows at the last
         with pytest.raises(RangeError):
             step_rt(a, 1.0, energy)
+
+    @pytest.mark.parametrize("a,m,energy", [
+        (1e-160, 1e-161, 5e-161), (1e-300, 1e-301, 5e-301), (5.0, 1.0, 1e200),
+        (1e300, 1e299, 5e299)])
+    def test_far_from_unit_scale(self, a, m, energy):
+        # (E +- a)^2 underflows, or overflows, as the inputs are: R =
+        # 3.89356603575848 at the first, second and fourth, and 2.5e-399,
+        # which rounds to 0, at the third
+        res = step_rt(a, m, energy)
+        with mp.workdps(50):
+            k_i, k_t = (mp.sign(w) * mp.sqrt(w * w - mp.mpf(m) ** 2)
+                        for w in (mp.fadd(energy, a, exact=True),
+                                  mp.fsub(energy, a, exact=True)))
+            r_ref = float(((k_i - k_t) / (k_i + k_t)) ** 2)
+            assert abs(res.k_incident - k_i) <= 1e-15 * abs(k_i)
+            assert abs(res.k_transmitted - k_t) <= 1e-15 * abs(k_t)
+        assert abs(res.R - r_ref) <= 1e-15 * r_ref and res.T == 1.0 - res.R
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):

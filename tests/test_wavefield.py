@@ -53,6 +53,20 @@ class TestSpotValues:
         assert abs(val - ref) <= 1e-12 * abs(ref)
 
 
+class TestScale:
+    @pytest.mark.parametrize("k", [520, 900])
+    @pytest.mark.parametrize("kind", ["incident", "reflected", "transmitted"])
+    def test_power_of_two_scale(self, pot, particle, kind, k):
+        # the waves depend on bx and the ratios of (a, b, m, E): at 2^k times
+        # (5, 3, 1, 7) and 2^-k x, psi, phi and theta keep their bits
+        xs = np.linspace(-3.0, 3.0, 41)
+        ref = wave_profile(xs, kind, pot, particle, 7.0)
+        res = wave_profile(np.ldexp(xs, -k), kind,
+                           Potential(math.ldexp(5.0, k), math.ldexp(3.0, k)),
+                           Particle(math.ldexp(1.0, k)), math.ldexp(7.0, k))
+        assert res.tobytes() == ref.tobytes()
+
+
 class TestSuperposition:
     # the transmitted solution equals incident + reflected at every x
     @pytest.mark.parametrize("energy", [7.0, 2.5])
