@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChannelClosedError, NonConvergenceError
-from .scattering import Particle, Potential, Region, _band, _scaled
+from .scattering import Particle, Potential, Region, _band, _exponent
 
 __all__ = ["NumericRT", "numeric_rt"]
 
@@ -135,7 +135,10 @@ def numeric_rt(pot: Potential, particle: Particle, energy: float) -> NumericRT:
     if region in (Region.II, Region.IV):
         raise ChannelClosedError(
             f"plane-wave decomposition needs both channels open, region {region.token}")
-    a, b, m, energy_scaled = map(float, _scaled(pot, particle, energy))
+    # (a, b, m, E) on the scale of the table's decision, see _exponent
+    scale = -int(_exponent(pot.a, particle.m, energy))
+    a, b, m, energy_scaled = (math.ldexp(v, scale)
+                              for v in (pot.a, pot.b, particle.m, energy))
     x_right = _SPAN / b
     k_inc = 2.0 * b * k.nu.real
     k_trans = 2.0 * b * k.mu.real

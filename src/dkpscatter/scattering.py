@@ -173,36 +173,44 @@ _I, _II, _III, _IV, _V, _BOUNDARY = range(len(_REGIONS))
 _SIGN_REGIONS = np.array([[_BOUNDARY, _IV, _IV], [_II, _I, _III], [_II, _III, _V]])
 
 
-def _scaled(pot: Potential, particle: Particle, energy: np.ndarray | float) -> tuple:
-    """a, b, m and E over 2^k per energy, k the binary exponent of max(|a|, m,
-    |E|): exact while they stay normal, so a ratio of them has the bits of the
-    inputs', and (E +- a)^2 - m^2 is in range at every exponent."""
-    k = -np.frexp(np.maximum(np.abs(energy), max(abs(pot.a), particle.m)))[1]
-    return tuple(np.ldexp(v, k) for v in (pot.a, pot.b, particle.m, energy))
+def _exponent(a: float, m: float, energy: np.ndarray | float) -> np.ndarray:
+    """The binary exponent k of max(|a|, m, |E|), per energy: (a, b, m, E) over
+    2^k are exact while they stay normal, so a ratio of them has the bits of the
+    inputs', and (E +- a)^2 - m^2 is in range at every exponent.  Every energy
+    decision (scattering_table, numeric_rt, step_rt) works on this scale."""
+    energy = np.asarray(energy, dtype=float)  # a Python int may exceed int64
+    return np.frexp(np.maximum(np.abs(energy), float(max(abs(a), m))))[1]
 
 
 def _interior_exponent(a: float, b: float) -> tuple[complex, float]:
     """lam, and 1 - lam (0 for complex lam) free of the cancellation of a lam near
     1 (b >> a), exactly 0 for a = 0; from (a, b) over the exponent of max(|a|, b),
-    where b is no smaller than in _scaled: lam is finite where _scaled's b is normal."""
-    a, b = np.ldexp((a, b), -math.frexp(max(abs(a), b))[1]).tolist()
+    where b is no smaller than on the energy's scale: lam is finite where that b
+    is normal."""
+    j = math.frexp(max(abs(a), b))[1]
+    a, b = math.ldexp(a, -j), math.ldexp(b, -j)
+    if b == 0.0:
+        # |a|/b beyond 2^1074, where the energy's b is not normal either
+        return complex(0.5, math.inf), 0.0
     disc = b * b - 4.0 * a * a
     if disc < 0:
-        return complex(0.5, math.sqrt(-disc) / (2.0 * b) if b else math.inf), 0.0
+        return complex(0.5, math.sqrt(-disc) / (2.0 * b)), 0.0
     root = math.sqrt(disc)
     return complex((b + root) / (2.0 * b), 0.0), 2.0 * a * a / (b * (b + root))
 
 
 def _kinematics(a, b, m, energy: np.ndarray) -> np.ndarray:
-    """nu and mu at every energy, as the rows of one (2, n) array, from the
-    _scaled arrays; no checks (call under np.errstate(all="ignore"))."""
+    """nu and mu at every energy, as the rows of one (2, n) array, from (a, b,
+    m, E) on the energy's scale (see _exponent); no checks (call under
+    np.errstate(all="ignore"))."""
     # E + a and E - a, and their rounding errors (Knuth's TwoSum)
     side = np.array((a, -a))
     shifted = side + energy
     back = shifted - side
     err = (side - (shifted - back)) + (energy - back)
     # (e - m)(e + m) keeps its digits near a threshold, where e*e - m*m cancels;
-    # there e -+ m is exact, and err restores what the rounding of E +- a took
+    # there e -+ m is exact and err restores the digits the rounding of E +- a
+    # took
     excess = ((shifted - m) + err) * ((shifted + m) + err)
     # sqrt(excess)/(2b), with the sign of E +- a, in a propagating channel,
     # and i sqrt(-excess)/(2b) in an evanescent one; -excess keeps the -0.0
@@ -337,7 +345,8 @@ _TWO_PI = 2.0 * math.pi
 def _propagating_rt(nu_mu: np.ndarray, lam: complex, one_minus_lam: float, a, b, m,
                     energy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """R and T for real nu and mu, the rows of nu_mu, of the mass m at the
-    energies on the step a tanh(bx) (_scaled arrays), and where representable.
+    energies on the step a tanh(bx) (on the energy's scale, see _exponent),
+    and where they are representable.
 
     R = |C/A|^2 and T = (mu/nu)/|A|^2 reduce, through |Gamma(1+iy)|^2 =
     pi y/sinh(pi y), |Gamma(1/2+iy)|^2 = pi/cosh(pi y) and Gamma(s)Gamma(1-s)
@@ -404,7 +413,7 @@ def scattering_table(pot: Potential, particle: Particle,
 
     An energy is not ok, by precedence, where it is not finite
     (InvalidParameterError); where b/max(|a|, m, |E|), the scale of every
-    value (see _scaled), is not normal (RangeError); within BOUNDARY_EPS of a
+    value (see _exponent), is not normal (RangeError); within BOUNDARY_EPS of a
     threshold or where neither channel propagates (BoundaryEnergyError, band
     BOUNDARY); where R and T are not representable (RangeError).
     In bands II and IV, R and T are exactly 1 and 0."""
@@ -412,7 +421,9 @@ def scattering_table(pot: Potential, particle: Particle,
     if energy.ndim != 1:
         raise InvalidParameterError(f"energies must be 1-d, got shape {energy.shape}")
     with np.errstate(all="ignore"):
-        a, b, m, scaled = _scaled(pot, particle, energy)
+        k = -_exponent(pot.a, particle.m, energy)
+        a, b, m = np.ldexp(np.array([[pot.a], [pot.b], [particle.m]], dtype=float), k)
+        scaled = np.ldexp(energy, k)
         nu_mu = _kinematics(a, b, m, scaled)
         region = _SIGN_REGIONS[tuple(np.subtract(nu_mu.real > 0.0, nu_mu.real < 0.0,
                                                  dtype=np.int8))]
@@ -489,7 +500,7 @@ def step_rt(a: float, m: float, energy: float) -> StepRT:
     if math.isinf(energy + a) or math.isinf(energy - a):
         raise RangeError(f"sharp-step momenta out of floating-point range at "
                          f"E={energy}, a={a}, m={m}")
-    k = math.frexp(max(abs(a), m, abs(energy)))[1]
+    k = int(_exponent(a, m, energy))
     a_s, m_s, e_s = (math.ldexp(v, -k) for v in (a, m, energy))
     disc_i = (e_s + a_s) ** 2 - m_s * m_s
     disc_t = (e_s - a_s) ** 2 - m_s * m_s

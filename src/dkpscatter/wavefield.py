@@ -36,6 +36,9 @@ _KINDS = get_args(Kind)
 
 # exp argument cap: keeps e^{2bx} and every power of (1+e^{2bx}) finite
 _EXPONENT_CAP = 700.0
+# |nu| and |mu| cap: the phases of A, C and e^{2ibkx} err by about 7e-15 |nu|
+# radians; below 2^40 the waves stay within 1e-2 of mpmath (1.6 off at 1.7e14)
+_WAVE_NUMBER_CAP = 2.0 ** 40
 
 
 class ComponentResiduals(NamedTuple):
@@ -61,7 +64,7 @@ class _Wave(NamedTuple):
 def _wave(kind: str, xs: np.ndarray, pot: Potential, particle: Particle,
           energy: float) -> _Wave:
     """The wave's record, after checking the kind, then every x of xs (finite,
-    |2bx| <= 700), then the energy."""
+    |2bx| <= 700), then the energy (|nu|, |mu| <= 2^40)."""
     if kind not in _KINDS:
         raise InvalidParameterError(
             f"kind must be one of {_KINDS}, got {kind!r}")
@@ -75,6 +78,9 @@ def _wave(kind: str, xs: np.ndarray, pot: Potential, particle: Particle,
             raise InvalidParameterError("x must be finite")
         raise RangeError(f"|2bx| = {abs(2 * pot.b * x)} exceeds {_EXPONENT_CAP}")
     k = _incident_kinematics(pot, particle, energy)
+    if max(abs(k.nu), abs(k.mu)) > _WAVE_NUMBER_CAP:
+        raise RangeError(f"|nu| or |mu| above 2^40 at E={energy}: the phases of "
+                         f"the waves have lost their digits")
     hp = hypergeometric_parameters(k)
     if kind == "transmitted":
         return _Wave(1.0, -1.0, k.mu, hp.a1, hp.b2, 1.0 + hp.a1 - hp.b1,
@@ -129,8 +135,8 @@ def wavefunction(x: float, kind: Kind, pot: Potential, particle: Particle,
 
     phi = (E - V(x)) psi / m holds identically; theta = (i/m) dpsi/dx is
     evaluated through the exact derivative of the hypergeometric form, not a
-    difference quotient.  Valid wherever the incident channel propagates and
-    |2bx| <= 700.
+    difference quotient.  Valid wherever the incident channel propagates,
+    |2bx| <= 700 and |nu|, |mu| <= 2^40.
     """
     psi, phi, theta = wave_profile((x,), kind, pot, particle, energy)[:, 0].tolist()
     return SpinorTriple(psi, phi, theta, (1.0, 0.0, 0.0)

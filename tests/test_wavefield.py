@@ -426,6 +426,21 @@ class TestConditioningGuard:
         with pytest.raises(IllConditionedError):
             wavefunction(1.0, kind, Potential(5.0, 0.2), Particle(1.0), energy)
 
+    @pytest.mark.parametrize("kind", ["incident", "reflected", "transmitted"])
+    @pytest.mark.parametrize("energy", [6.5e12, -6.5e12])
+    def test_wave_number_cap(self, kind, energy):
+        # |nu| = 0.985 2^40 at (5, 3, 1, +-6.5e12): within 1e-2 of mpmath;
+        # 3% higher the cap refuses, as it does at E = 1e200
+        pot, particle = Potential(5.0, 3.0), Particle(1.0)
+        for x in (0.0, 0.1, -3.0):
+            w = wavefunction(x, kind, pot, particle, energy)
+            psi, theta = wave(kind, 5.0, 3.0, 1.0, energy, x)
+            assert abs(w.psi - psi) <= 1e-2 * max(abs(psi), 1e-300)
+            assert abs(w.theta - theta) <= 1e-2 * max(abs(theta), 1e-300)
+        for far in (1.03 * energy, 1e200):
+            with pytest.raises(RangeError, match="above 2\\^40"):
+                wavefunction(0.1, kind, pot, particle, far)
+
     @pytest.mark.parametrize("kind", ["incident", "reflected"])
     def test_deep_tunnelling_overflow_raises(self, kind):
         # |T| ~ 5e-312 puts |A| near the overflow limit; the hyp2f1 sum
