@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChannelClosedError, NonConvergenceError
-from .scattering import Particle, Potential, Region, _band, _exponent
+from .scattering import Particle, Potential, Region, _band
 
 __all__ = ["NumericRT", "numeric_rt"]
 
@@ -131,14 +131,11 @@ def numeric_rt(pot: Potential, particle: Particle, energy: float) -> NumericRT:
     channels propagating (regions I, III, V).  Every slice has determinant 1,
     so the unitarity defect stays at rounding level.
     """
-    region, k = _band(pot, particle, energy)
+    # (a, b, m, E) on the scale of the energy decision
+    region, k, (a, b, m, energy_scaled) = _band(pot, particle, energy)
     if region in (Region.II, Region.IV):
         raise ChannelClosedError(
             f"plane-wave decomposition needs both channels open, region {region.token}")
-    # (a, b, m, E) on the scale of the table's decision, see _exponent
-    scale = -int(_exponent(pot.a, particle.m, energy))
-    a, b, m, energy_scaled = (math.ldexp(v, scale)
-                              for v in (pot.a, pot.b, particle.m, energy))
     x_right = _SPAN / b
     k_inc = 2.0 * b * k.nu.real
     k_trans = 2.0 * b * k.mu.real

@@ -162,7 +162,7 @@ def critical_energies(pot: Potential, particle: Particle) -> tuple[float, ...]:
 
 
 # Status of each energy of a table: its R and T hold, or the typed error the
-# scalar entry points raise there (see ScatteringTable.error)
+# scalar entry points raise there (see _error)
 _OK, _GUARDED, _NON_FINITE, _KINEMATICS_RANGE, _RT_RANGE = range(5)
 # a table's region codes index these arrays
 _REGIONS = np.array(tuple(Region), dtype=object)
@@ -177,7 +177,7 @@ def _exponent(a: float, m: float, energy: np.ndarray | float) -> np.ndarray:
     """The binary exponent k of max(|a|, m, |E|), per energy: (a, b, m, E) over
     2^k are exact while they stay normal, so a ratio of them has the bits of the
     inputs', and (E +- a)^2 - m^2 is in range at every exponent.  Every energy
-    decision (scattering_table, numeric_rt, step_rt) works on this scale."""
+    decision (_decide, step_rt) works on this scale."""
     energy = np.asarray(energy, dtype=float)  # a Python int may exceed int64
     return np.frexp(np.maximum(np.abs(energy), float(max(abs(a), m))))[1]
 
@@ -225,8 +225,8 @@ def _kinematics(a, b, m, energy: np.ndarray) -> np.ndarray:
 
 
 def kinematics(pot: Potential, particle: Particle, energy: float) -> KinematicParams:
-    """nu, mu, lam for the given configuration, from the one-energy
-    scattering_table.  Purely algebraic; no boundary guard is applied here.
+    """nu, mu, lam for the given configuration, from the energy decision, which
+    forms no R or T.  Purely algebraic; no boundary guard is applied here.
     Raises InvalidParameterError for a non-finite energy and RangeError
     where b/max(|a|, m, |E|) leaves the normal range (see scattering_table)."""
     return _band(pot, particle, energy, _GUARDED)[1]
@@ -255,43 +255,43 @@ class ScatteringTable:
 
     def error(self, i: int) -> DkpScatterError | None:
         """The typed error at energy i, None where it is ok."""
-        return self._error(i, self.energy[i].item())
-
-    def _error(self, i: int, energy: float) -> DkpScatterError | None:
-        # energy is the value as the caller of a scalar entry point gave it
-        status = self._status[i]
-        if status == _OK:
-            return None
-        if status == _GUARDED:
-            return BoundaryEnergyError(
-                f"E={energy} within {BOUNDARY_EPS} of a channel threshold "
-                "(or in the fully evanescent gap)")
-        if status == _NON_FINITE:
-            return InvalidParameterError(f"energy must be finite, got {energy}")
-        if status == _KINEMATICS_RANGE:
-            return RangeError(
-                f"kinematics out of floating-point range at E={energy}, "
-                f"a={self.pot.a}, b={self.pot.b}, m={self.particle.m}")
-        return RangeError(f"R and T not representable at nu={float(self.nu[i].real)}, "
-                          f"mu={float(self.mu[i].real)}")
+        return _error(self._status[i], self.energy[i].item(), self.pot, self.particle,
+                      self.nu[i], self.mu[i])
 
 
-def _band(pot: Potential, particle: Particle, energy: float,
-          *passing: int) -> tuple[Region, KinematicParams]:
-    """Band and kinematics at one energy, from scattering_table.  Raises the
-    error scattering_coefficients raises there, except where only R and T
-    are not representable or the status is one of passing."""
-    table = scattering_table(pot, particle, (energy,))
-    if table._status[0] not in (_OK, _RT_RANGE, *passing):
-        raise table._error(0, energy)
-    return table.region[0], KinematicParams(table.nu[0].item(), table.mu[0].item(),
-                                            table.lam)
+def _error(status: int, energy, pot, particle, nu, mu) -> DkpScatterError | None:
+    """The typed error of a status (None for _OK) at the energy as given."""
+    if status == _OK:
+        return None
+    if status == _GUARDED:
+        return BoundaryEnergyError(
+            f"E={energy} within {BOUNDARY_EPS} of a channel threshold "
+            "(or in the fully evanescent gap)")
+    if status == _NON_FINITE:
+        return InvalidParameterError(f"energy must be finite, got {energy}")
+    if status == _KINEMATICS_RANGE:
+        return RangeError(
+            f"kinematics out of floating-point range at E={energy}, "
+            f"a={pot.a}, b={pot.b}, m={particle.m}")
+    return RangeError(f"R and T not representable at nu={float(nu.real)}, "
+                      f"mu={float(mu.real)}")
+
+
+def _band(pot: Potential, particle: Particle, energy: float, *passing: int
+          ) -> tuple[Region, KinematicParams, list[float]]:
+    """Band, kinematics and the scaled (a, b, m, E) of the decision at one
+    energy; raises the decision's error there unless its status is in passing."""
+    _, scaled, nu_mu, region, status = _decide(pot, particle, (energy,))
+    if status[0] not in (_OK, *passing):
+        raise _error(status[0], energy, pot, particle, *nu_mu[:, 0])
+    return (_REGIONS[region[0]], KinematicParams(*nu_mu[:, 0].tolist(),
+            _interior_exponent(pot.a, pot.b)[0]), scaled[:, 0].tolist())
 
 
 def _incident_kinematics(pot: Potential, particle: Particle,
                          energy: float) -> KinematicParams:
     """Kinematics at an energy whose incident channel propagates."""
-    region, k = _band(pot, particle, energy)
+    region, k, _ = _band(pot, particle, energy)
     if region is Region.IV:
         raise EvanescentIncidentError(
             f"incident channel evanescent at E={energy}")
@@ -406,25 +406,17 @@ def _propagating_rt(nu_mu: np.ndarray, lam: complex, one_minus_lam: float, a, b,
     return refl, trans, den >= sys.float_info.min
 
 
-def scattering_table(pot: Potential, particle: Particle,
-                     energies: Sequence[float] | np.ndarray) -> ScatteringTable:
-    """R and T at every energy of a 1-d array in one numpy pass: the energy
-    decision of every entry point (bands as in classify_region).
-
-    An energy is not ok, by precedence, where it is not finite
-    (InvalidParameterError); where b/max(|a|, m, |E|), the scale of every
-    value (see _exponent), is not normal (RangeError); within BOUNDARY_EPS of a
-    threshold or where neither channel propagates (BoundaryEnergyError, band
-    BOUNDARY); where R and T are not representable (RangeError).
-    In bands II and IV, R and T are exactly 1 and 0."""
+def _decide(pot: Potential, particle: Particle, energies) -> tuple[np.ndarray, ...]:
+    """scattering_table up to R and T: the energies, (a, b, m, E) on each
+    energy's scale, nu and mu, region codes, and every status but _RT_RANGE."""
     energy = np.asarray(energies, dtype=float)
     if energy.ndim != 1:
         raise InvalidParameterError(f"energies must be 1-d, got shape {energy.shape}")
     with np.errstate(all="ignore"):
         k = -_exponent(pot.a, particle.m, energy)
-        a, b, m = np.ldexp(np.array([[pot.a], [pot.b], [particle.m]], dtype=float), k)
-        scaled = np.ldexp(energy, k)
-        nu_mu = _kinematics(a, b, m, scaled)
+        scaled = np.ldexp(np.array([[pot.a], [pot.b], [particle.m], [0.0]], float), k)
+        scaled[3] = np.ldexp(energy, k)
+        nu_mu = _kinematics(*scaled)
         region = _SIGN_REGIONS[tuple(np.subtract(nu_mu.real > 0.0, nu_mu.real < 0.0,
                                                  dtype=np.int8))]
         status = np.where((region == _BOUNDARY) | (np.abs(np.subtract.outer(
@@ -432,11 +424,27 @@ def scattering_table(pot: Potential, particle: Particle,
             _GUARDED, _OK)
         region[status == _GUARDED] = _BOUNDARY
         # nu and mu overflow, or round to 0, where the scaled b is not normal
+        b = scaled[1]
         status[(b < sys.float_info.min) | (b > sys.float_info.max)] = _KINEMATICS_RANGE
         status[~np.isfinite(energy)] = _NON_FINITE
-        lam, one_minus_lam = _interior_exponent(pot.a, pot.b)
-        refl, trans, representable = _propagating_rt(nu_mu, lam, one_minus_lam,
-                                                     a, b, m, scaled)
+    return energy, scaled, nu_mu, region, status
+
+
+def scattering_table(pot: Potential, particle: Particle,
+                     energies: Sequence[float] | np.ndarray) -> ScatteringTable:
+    """R and T at every energy of a 1-d array in one numpy pass, after the
+    energy decision of every entry point (bands as in classify_region).
+
+    An energy is not ok, by precedence, where it is not finite
+    (InvalidParameterError); where b/max(|a|, m, |E|), the scale of every
+    value (see _exponent), is not normal (RangeError); within BOUNDARY_EPS of a
+    threshold or where neither channel propagates (BoundaryEnergyError, band
+    BOUNDARY); where R and T are not representable (RangeError).
+    In bands II and IV, R and T are exactly 1 and 0."""
+    energy, scaled, nu_mu, region, status = _decide(pot, particle, energies)
+    lam, one_minus_lam = _interior_exponent(pot.a, pot.b)
+    with np.errstate(all="ignore"):
+        refl, trans, representable = _propagating_rt(nu_mu, lam, one_minus_lam, *scaled)
         evanescent = (region == _II) | (region == _IV)
         status[(status == _OK) & ~(evanescent | representable)] = _RT_RANGE
     return ScatteringTable(pot, particle, energy, _REGIONS[region], nu_mu[0], nu_mu[1],
@@ -456,7 +464,7 @@ def scattering_coefficients(pot: Potential, particle: Particle,
     energy."""
     table = scattering_table(pot, particle, (energy,))
     if not table.ok[0]:
-        raise table._error(0, energy)
+        raise _error(table._status[0], energy, pot, particle, table.nu[0], table.mu[0])
     refl, trans = table.R[0].item(), table.T[0].item()
     return ScatteringResult(energy, table.region[0], refl, trans, refl + trans - 1.0)
 

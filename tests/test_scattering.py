@@ -7,7 +7,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 from mp_reference import band, elementary_rt, gamma_rt
 from mp_reference import kinematics as mp_kinematics
@@ -36,8 +36,10 @@ from dkpscatter import (
     scattering_coefficients,
     scattering_table,
     step_rt,
+    wave_profile,
     wavefunction,
 )
+from dkpscatter import scattering
 
 
 class TestPotentialAndParticle:
@@ -554,10 +556,18 @@ class TestArrayPath:
               "2ab6cde1d03c398e6e4e309ae76844d8", 16))
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=_energy_arrays())
+    @example(case=(5.0, 1e300, 1.0, [7.0]))  # R and T alone not representable
     def test_matches_scalar_and_reference(self, case):
         a, b, m, energies = case
         pot, particle = Potential(a, b), Particle(m)
         table = scattering_table(pot, particle, np.array(energies))
+
+        def same_kinematics(i, energy):
+            # kinematics decides without R and T, and gets the table's bits
+            k = kinematics(pot, particle, energy)
+            assert np.array(k, complex).tobytes() == np.array(
+                (table.nu[i], table.mu[i], table.lam), complex).tobytes()
+
         for i, energy in enumerate(energies):
             try:
                 res = scattering_coefficients(pot, particle, energy)
@@ -565,8 +575,11 @@ class TestArrayPath:
                 err = table.error(i)
                 assert not table.ok[i]
                 assert type(err) is type(exc) and str(err) == str(exc)
+                if str(exc).startswith("R and T not representable"):
+                    same_kinematics(i, energy)
                 continue
             assert table.ok[i] and table.error(i) is None
+            same_kinematics(i, energy)
             assert table.region[i] is res.region is classify_region(pot, particle, energy)
             assert _bits(table.R[i]) == _bits(res.R)
             assert _bits(table.T[i]) == _bits(res.T)
@@ -672,6 +685,35 @@ class TestArrayPath:
             scattering_table(pot, particle, 7.0)
         with pytest.raises(InvalidParameterError):
             scattering_table(pot, particle, [[7.0]])
+
+
+class _Formed(Exception):
+    pass
+
+
+class TestDecisionWithoutRT:
+    """Every entry point but scattering_coefficients and scattering_table
+    decides its energy without forming R and T."""
+
+    @pytest.mark.parametrize("energy", [7.0, 2.5])
+    def test_rt_never_formed(self, monkeypatch, pot, particle, energy):
+        def formed(*args):
+            raise _Formed
+
+        monkeypatch.setattr(scattering, "_propagating_rt", formed)
+        k = kinematics(pot, particle, energy)
+        assert classify_region(pot, particle, energy).token == band(5.0, 1.0, energy)
+        assert all(map(math.isfinite, currents(pot, particle, energy)))
+        connection_coefficients(k)
+        for kind in ("incident", "reflected", "transmitted"):
+            assert np.isfinite(wave_profile((-0.5, 0.0, 0.5), kind, pot, particle,
+                                            energy)).all()
+            asymptotic_wavefunction(-3.0, kind, pot, particle, energy)
+        assert abs(numeric_rt(pot, particle, energy).unitarity_defect) < 1e-10
+        with pytest.raises(_Formed):
+            scattering_coefficients(pot, particle, energy)
+        with pytest.raises(_Formed):
+            scattering_table(pot, particle, (energy,))
 
 
 class TestCurrents:

@@ -277,7 +277,7 @@ class TestWaveProfile:
     @pytest.mark.parametrize("kind", ["incident", "reflected"])
     def test_one_build_per_call(self, monkeypatch, pot, particle, kind):
         coeffs = _count_calls(monkeypatch, wavefield, "connection_coefficients")
-        bands = _count_calls(monkeypatch, scattering, "scattering_table")
+        bands = _count_calls(monkeypatch, scattering, "_decide")
         wave_profile(PROFILE_XS, kind, pot, particle, 7.0)
         assert (len(coeffs), len(bands)) == (1, 1)
         component_residuals(0.3, kind, pot, particle, 7.0, 1e-4)
@@ -460,6 +460,31 @@ class TestConditioningGuard:
                 wave_profile([500.0, 506.0, 510.0], kind, *OVERFLOW_POINT)
             with pytest.raises(RangeError):
                 wavefunction(506.0, kind, *OVERFLOW_POINT)
+
+    def test_overflowing_plane_wave_raises(self):
+        # the evanescent transmitted wave at 2b|x| = 600 on its far side: cmath's
+        # exp overflows inside the window
+        with pytest.raises(RangeError, match="^transmitted wave not finite at x=-30000.0$"):
+            asymptotic_wavefunction(-30000.0, "transmitted", Potential(50.0, 0.01),
+                                    Particle(1.0), 49.5)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(draw=st.integers(0, 2**32 - 1))
+    def test_asymptotic_finite_or_typed_error(self, draw):
+        # uniform draws (b log-uniform), which reach the far side of an
+        # evanescent wave that Hypothesis's own floats seldom reach
+        rng = np.random.default_rng(draw)
+        a = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 50.0))
+        b = float(np.exp(rng.uniform(math.log(0.01), math.log(30.0))))
+        m = float(rng.uniform(0.1, 5.0))
+        energy = float(rng.uniform(-1.0, 1.0) * (abs(a) + 4.0))
+        x = float(rng.uniform(-350.0, 350.0)) / b
+        for kind in ("incident", "reflected", "transmitted"):
+            try:
+                w = asymptotic_wavefunction(x, kind, Potential(a, b), Particle(m), energy)
+            except DkpScatterError:
+                continue
+            assert all(map(np.isfinite, (w.psi, w.phi, w.theta)))
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(log_a=st.floats(math.log(0.1), math.log(50.0)),
