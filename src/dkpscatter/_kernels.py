@@ -4,10 +4,12 @@ coefficients.
 
 Log Gamma and the Gamma ratio are plain Python on complex scalars and raise
 the package's typed errors.  The series runs over an array of real arguments
-at once and raises nothing: it returns its sums, each sum's cancellation
-figure max|term| / |sum| (its relative rounding error over the unit roundoff,
-which :func:`dkpscatter.specfun.hyp2f1` bounds) and its first
-non-convergence, for the caller to rank.
+at once, a block of terms at a time from term ratios that every argument
+shares and powers of each argument formed once, and raises nothing: it
+returns its sums, each sum's cancellation figure max|term| / |sum| (its
+relative rounding error over the unit roundoff, which
+:func:`dkpscatter.specfun.hyp2f1` bounds) and its first non-convergence, for
+the caller to rank.
 """
 
 from __future__ import annotations
@@ -94,51 +96,63 @@ def gauss_series(a: complex, b: complex, c: complex, z: np.ndarray) -> tuple[
     """Gauss hypergeometric series at every real z of an array, |z| < 1, each
     element's cancellation figure max|term| / |sum|, and the failure.
 
-    Each element runs the scalar recurrence t_n = t_{n-1} (a+n)(b+n) /
-    ((c+n)(1+n)) z, _BLOCK_TERMS terms at a time as a cumulative product.  An
-    element stops once ten consecutive terms each move its partial sum by less
-    than 1e-15 relative; its result does not depend on the other elements.
-    The failure names the first element still running when MAX_SERIES_TERMS
-    is hit, else None.  All elements run as one block: callers pass at most
-    _BLOCK_WIDTH of them, which keeps the working set fixed.
+    Term n is t_n = t_{n-1} (a+n-1)(b+n-1) / ((c+n-1) n) z.  All elements share
+    (a, b, c), so over a block of _BLOCK_TERMS terms from n0 on, t_{n0+k} =
+    t_{n0} R_k z^k, R_k the product of the block's first k term ratios: R_k is
+    formed once per block and z^k once per call, a block adds t_{n0} sum_k
+    R_k z^k to each sum, the terms in order, and |t_{n0}| |R_k| |z|^k is the
+    size of each term.  An element stops at the end of the first block whose
+    last ten terms are each below 1e-15 of its sum there, or whose sum is not
+    finite: its terms overflowed, or R_k did (|ab/c| above about 5e19 with z
+    near 1/|ab/c|), and hyp2f1 raises RangeError.  Its result does not depend
+    on the other elements.  The failure names the first element still running
+    when MAX_SERIES_TERMS is hit, else None.  Callers pass at most
+    _BLOCK_WIDTH elements, which keeps the working set fixed.
     """
     z = np.asarray(z, dtype=float)
-    # live columns carry their last term, partial sum, largest |term| so far
-    # and the run of quiet terms that ends it
-    n = np.arange(_BLOCK_TERMS)
+    k = np.arange(_BLOCK_TERMS)
+    # R_k z^k is formed as (R_k / s^k) (s z)^k, both exact: the scale s, a power
+    # of two near the first term ratio and at most 2^30, keeps R_k / s^k in
+    # range where the terms are, at large |ab/c| and small z
+    scale = 2.0 ** min(max(math.frexp(np.abs(a * b) / np.abs(c))[1], 0), 30)
+    # (s z)^1 .. (s z)^_BLOCK_TERMS, complex so that no block casts them again
+    powers = np.cumprod(np.repeat(scale * z[None], _BLOCK_TERMS, axis=0), axis=0)
+    sizes = np.abs(powers)
+    powers = powers.astype(complex)
+    # live elements carry their block-start term, partial sum and largest
+    # |term| so far
     live = np.arange(z.size)
     t = np.ones(z.size, dtype=complex)
     s = t.copy()
     t_max = np.ones(z.size)
-    quiet = np.zeros(z.size, dtype=int)
     values = np.empty(z.size, dtype=complex)
     figures = np.empty(z.size)
-    rows = n[:, None]
+    if not z.size:
+        return values, figures, None
     for n0 in range(0, MAX_SERIES_TERMS, _BLOCK_TERMS):
-        k = n + n0
-        step = (a + k) * (b + k) / ((c + k) * (1.0 + k))
-        terms = np.cumprod(np.concatenate((t[None], step[:, None] * z[live])),
-                           axis=0)[1:]
-        sums = np.cumsum(np.concatenate((s[None], terms)), axis=0)[1:]
-        t_abs = np.hypot(terms.real, terms.imag)
-        s_abs = np.hypot(sums.real, sums.imag)
-        t_maxes = np.maximum(t_max, np.maximum.accumulate(t_abs, axis=0))
-        # row of the last loud term, or where the carried quiet run began
-        last_loud = np.maximum.accumulate(
-            np.where(t_abs <= 1e-15 * s_abs, -1 - quiet, rows), axis=0)
-        runs = rows - last_loud
-        settled = runs >= 10
-        done = settled.any(axis=0)
-        cols = np.flatnonzero(done)
-        stop = settled.argmax(axis=0)[cols]
-        values[live[done]] = sums[stop, cols]
-        figures[live[done]] = t_maxes[stop, cols] / s_abs[stop, cols]
-        keep = ~done
-        live = live[keep]
-        if live.size == 0:
-            return values, figures, None
-        t, s = terms[-1, keep], sums[-1, keep]
-        t_max, quiet = t_maxes[-1, keep], runs[-1, keep]
+        n = k + n0
+        ratios = np.cumprod((a + n) * (b + n) / ((c + n) * (1.0 + n) * scale))
+        terms = ratios[:, None] * powers
+        # summed as real and imaginary columns, so the term axis is never the
+        # innermost and numpy adds the terms in order at any width
+        block = np.add.reduce(terms.view(float), axis=0).view(complex)
+        bound = np.abs(ratios)[:, None] * sizes
+        t_abs = np.abs(t)
+        s = s + t * block
+        s_abs = np.abs(s)
+        t_max = np.maximum(t_max, t_abs * bound.max(axis=0))
+        # false for a NaN, so a sum that is not finite stops too
+        done = ~(t_abs * bound[-10:].max(axis=0) > 1e-15 * s_abs)
+        t = t * terms[-1]
+        if done.any():
+            values[live[done]] = s[done]
+            figures[live[done]] = t_max[done] / s_abs[done]
+            keep = ~done
+            if not keep.any():
+                return values, figures, None
+            live, t, s, t_max = live[keep], t[keep], s[keep], t_max[keep]
+            # compress keeps them C-ordered, as the complex view needs
+            powers, sizes = (np.compress(keep, v, axis=1) for v in (powers, sizes))
     return values, figures, (int(live[0]), NonConvergenceError(
         f"hyp2f1 series did not converge for ({a}, {b}, {c}, {float(z[live[0]])})"))
 

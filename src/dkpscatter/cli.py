@@ -11,6 +11,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 from typing import Iterable, Iterator, Sequence, get_args
 
@@ -112,9 +113,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               file=sys.stderr)
     keep = table.ok
     refl, trans = table.R[keep], table.T[keep]
-    tokens = [region.token for region in table.region[keep]]
     _emit(_csv("E,R,T,unitarity_defect,region",
-               (energies[keep], refl, trans, refl + trans - 1.0), tokens),
+               (energies[keep], refl, trans, refl + trans - 1.0), table.tokens[keep]),
           args.out)
     return 0
 
@@ -226,9 +226,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes every float literal after an option as its
+    value: argparse's own pattern takes -5 and -.5 but reads -1e-05, -inf and
+    -nan as option names.  The subcommand parsers are of this class too."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dkpscatter",
         description="Spin-one scattering on the smooth step V(x) = a tanh(bx)")
     parser.add_argument("--version", action="version", version=__version__)

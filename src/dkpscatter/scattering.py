@@ -166,6 +166,7 @@ def critical_energies(pot: Potential, particle: Particle) -> tuple[float, ...]:
 _OK, _GUARDED, _NON_FINITE, _KINEMATICS_RANGE, _RT_RANGE = range(5)
 # a table's region codes index these arrays
 _REGIONS = np.array(tuple(Region), dtype=object)
+_TOKENS = np.array([region.token for region in _REGIONS], dtype=object)
 _I, _II, _III, _IV, _V, _BOUNDARY = range(len(_REGIONS))
 # region code by [sign(nu), sign(mu)], a sign of -1 indexing the last entry:
 # both real with the same sign I (positive) or V (negative), opposite signs
@@ -252,6 +253,12 @@ class ScatteringTable:
     T: np.ndarray
     ok: np.ndarray
     _status: np.ndarray
+    _region: np.ndarray
+
+    @property
+    def tokens(self) -> np.ndarray:
+        """The band token (Region.token) of every energy, by one array index."""
+        return _TOKENS[self._region]
 
     def error(self, i: int) -> DkpScatterError | None:
         """The typed error at energy i, None where it is ok."""
@@ -449,7 +456,7 @@ def scattering_table(pot: Potential, particle: Particle,
         status[(status == _OK) & ~(evanescent | representable)] = _RT_RANGE
     return ScatteringTable(pot, particle, energy, _REGIONS[region], nu_mu[0], nu_mu[1],
                            lam, np.where(evanescent, 1.0, refl),
-                           np.where(evanescent, 0.0, trans), status == _OK, status)
+                           np.where(evanescent, 0.0, trans), status == _OK, status, region)
 
 
 def scattering_coefficients(pot: Potential, particle: Particle,

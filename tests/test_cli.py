@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from mp_reference import band
 
@@ -287,20 +287,37 @@ def _band_energy(band, a, m, margin, u):
     return energy if band == "I" else -energy
 
 
+def _run(argv):
+    """(exit status, stdout, stderr) of main, a usage error included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
 def _status(argv):
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        return main(argv)
+    return _run(argv)[0]
 
 
 class TestBenchmarkFamilies:
     """The parameter families of the benchmark's workloads: every command
     exits with status 0 or 1 there, and no exception leaves main."""
 
+    # the examples of the test without the @example below
+    @seed(int("9cf3b8ca2189c0cf026d52baf3db62a20dbb41f10b0c315169bb52fb7da88a3e"
+              "7ca9b79b88f1ef3bb207793e69e31354", 16))
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(m=st.floats(0.5, 2.0), ratio=st.floats(2.0, 4.0),
            band=st.sampled_from(["I", "III"]), u=st.floats(0.0, 1.0),
            q=st.floats(2.0, 3.0))
+    # E = -5.4117553133448126e-05, whose repr has an exponent; the benchmark
+    # draws it as (a, b, m, E) = (5.237878843209809, 1.8343617591921515,
+    # 1.4091910276461166, E)
+    @example(m=1.4091910276461166, ratio=3.716940244758053, band="III",
+             u=0.49999237103922023, q=2.8554525488307796)
     def test_wavefunction(self, m, ratio, band, u, q):
         a = m * ratio
         energy = _band_energy(band, a, m, 0.2, u)
@@ -433,3 +450,51 @@ class TestUsage:
         assert proc.returncode == 0
         assert "R = " in proc.stdout
         assert "region = I" in proc.stdout
+
+
+# a command that is valid with a finite value of its last option
+FLOAT_COMMANDS = {
+    "--a": ["regions", "--m", "1", "--a"],
+    "--b": ["point", "--a", "5", "--m", "1", "--E", "7", "--b"],
+    "--m": ["regions", "--a", "5", "--m"],
+    "--E": ["point", "--a", "5", "--b", "3", "--m", "1", "--E"],
+    "--emin": SWEEP_ARGS + ["--emax", "9", "--steps", "3", "--emin"],
+    "--emax": SWEEP_ARGS + ["--emin", "-9", "--steps", "3", "--emax"],
+    "--xmin": WAVE_ARGS + ["--xmax", "1", "--samples", "2", "--xmin"],
+    "--xmax": WAVE_ARGS + ["--xmin", "-1", "--samples", "2", "--xmax"],
+}
+
+
+class TestNegativeFloats:
+    """Every float option takes every float literal as its value, negative ones
+    in exponent form, -inf and -nan included: usage errors (status 2) are for
+    malformed commands, not for values."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(option=st.sampled_from(sorted(FLOAT_COMMANDS)), x=st.floats())
+    @example(option="--E", x=-1e-05)
+    @example(option="--emin", x=-1e20)
+    @example(option="--xmin", x=-1e-05)
+    @example(option="--E", x=-math.inf)
+    def test_never_a_usage_error(self, option, x):
+        argv = FLOAT_COMMANDS[option] + [repr(x)]
+        assert _run(argv)[0] in (0, 1)
+        parsed = getattr(_build_parser().parse_args(argv), option[2:])
+        assert parsed == x or (math.isnan(parsed) and math.isnan(x))
+
+    @pytest.mark.parametrize("literal", ["-1e-05", "-.5", "-2.5E+0", "-inf", "-nan",
+                                         "-Infinity"])
+    def test_same_as_attached_value(self, literal):
+        # --E -1e-05 reads as --E=-1e-05; a non-finite energy is a typed error
+        head = ["point", "--a", "5", "--b", "3", "--m", "1"]
+        separate, attached = _run(head + ["--E", literal]), _run(head + [f"--E={literal}"])
+        assert separate == attached
+        rc, out, err = separate
+        if math.isfinite(float(literal)):
+            assert (rc, err) == (0, "") and "region = III" in out
+        else:
+            assert rc == 1 and err.startswith("error: ")
+
+    def test_option_names_still_rejected(self):
+        # a value that is no float literal is still read as an option name
+        assert _run(["point", "--a", "5", "--b", "3", "--m", "1", "--E", "-x"])[0] == 2

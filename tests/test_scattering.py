@@ -680,6 +680,12 @@ class TestArrayPath:
             for refl, trans in [(res.R, res.T), *zip(table.R, table.T)]:
                 assert abs(trans - t_ref) <= 1e-14 and abs(refl - (1.0 - t_ref)) <= 1e-14
 
+    def test_tokens(self, pot, particle):
+        # every band, guarded and non-finite energies included
+        table = scattering_table(pot, particle, [-8.0, -5.0, -4.0, 0.0, 5.0, 7.0, math.nan])
+        assert table.tokens.tolist() == [region.token for region in table.region]
+        assert table.tokens.tolist() == ["V", "IV", "boundary", "III", "II", "I", "boundary"]
+
     def test_energies_must_be_one_dimensional(self, pot, particle):
         with pytest.raises(InvalidParameterError):
             scattering_table(pot, particle, 7.0)

@@ -7,6 +7,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dkpscatter import (
     DegenerateParametersError,
@@ -22,6 +24,7 @@ from dkpscatter import (
     hypergeometric_parameters,
     kinematics,
     log_gamma,
+    wave_profile,
 )
 from dkpscatter import _kernels, specfun
 from dkpscatter._kernels import gauss_series
@@ -330,3 +333,103 @@ class TestHyp2f1:
         a, b, c, z, _ = HYP_TABLE[0]
         val = hyp2f1(a + 1, b + 1, c + 1, z)
         assert math.isfinite(val.real) and math.isfinite(val.imag)
+
+
+def _wave_series(a, b, m, energy):
+    """Every (a, b, c) that a Gauss series of a wave at (a, b, m, E) runs with:
+    F and its shifted F1 of the three waves, each on its direct, Pfaff and two
+    far terms."""
+    hp = hypergeometric_parameters(kinematics(Potential(a, b), Particle(m), energy))
+    sets = []
+    for pa, pb, pc in ((hp.a1, hp.b1, hp.c1), (hp.a2, hp.b2, hp.c2),
+                       (hp.a1, hp.b2, 1.0 + hp.a1 - hp.b1)):
+        for shift in (0.0, 1.0):
+            p, q, c = pa + shift, pb + shift, pc + shift
+            sets += [(p, q, c), (p, c - q, c), (p, c - q, 1.0 - q + p),
+                     (q, c - p, 1.0 - p + q)]
+    return sets
+
+
+SERIES_PARAMETERS = [(-20.0, 1.0, 1.0), (1.5 + 1e-9, 0.5, 2.3),
+                     *_wave_series(5.0, 3.0, 1.0, 7.0)[::6],
+                     _wave_series(5.0, 0.05, 1.0, 7.0)[0]]
+
+
+class TestGaussSeries:
+    """The block form of the series: t_{n0+k} = t_{n0} R_k z^k."""
+
+    @pytest.mark.parametrize("a,b,c", SERIES_PARAMETERS)
+    def test_batch_of_one(self, a, b, c):
+        # column j of a batch is the batch of one at z[j], bit for bit, at
+        # widths about a block of 32 terms and _BLOCK_WIDTH; from z = 0.9 the
+        # series run over twelve blocks and more, near 0 over one
+        z = np.random.default_rng(7).permutation(
+            np.concatenate((np.linspace(-0.9, 0.9, 255), [0.0, 1e-300])))
+        singles = [gauss_series(a, b, c, z[j:j + 1]) for j in range(z.size)]
+        assert gauss_series(a, b, c, z[:0])[2] is None
+        for width in (1, 31, 32, 33, 255, 256, 257):
+            values, figures, failure = gauss_series(a, b, c, z[:width])
+            assert failure is None
+            assert values.tobytes() == np.concatenate(
+                [v for v, _, _ in singles[:width]]).tobytes()
+            assert figures.tobytes() == np.concatenate(
+                [f for _, f, _ in singles[:width]]).tobytes()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(a=st.floats(0.1, 50.0), log_b=st.floats(math.log(0.01), math.log(30.0)),
+           m=st.floats(0.1, 5.0), e=st.floats(-2.0, 2.0), which=st.integers(0, 23),
+           z=st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=4))
+    def test_matches_mpmath(self, a, log_b, m, e, which, z):
+        # the series of the waves at |z| <= 1/2: error within a multiple of
+        # the unit roundoff times the larger of the sum and its largest term,
+        # figure * |sum|
+        try:
+            params = _wave_series(a, math.exp(log_b), m, e * (a + m))[which]
+        except DkpScatterError:
+            return
+        values, figures, failure = gauss_series(*params, np.array(z))
+        if failure is not None:
+            return
+        with mp.workdps(40):
+            for zj, value, figure in zip(z, values, figures):
+                if not cmath.isfinite(value):
+                    continue
+                ref = complex(mp.hyp2f1(*params, zj))
+                # the worst over about 41,000 comparisons of these families was 10.2
+                assert abs(value - ref) <= 32 * max(figure, 1.0) * abs(value) * 2.0 ** -52
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(sizes=st.lists(st.floats(0.0, math.log(1e12)), min_size=3, max_size=3),
+           phases=st.lists(st.floats(-math.pi, math.pi), min_size=3, max_size=3),
+           z=st.floats(-5.0, 0.9))
+    def test_large_parameters_typed(self, sizes, phases, z):
+        # parameters up to 1e12 in modulus: a finite value or a typed error,
+        # never inf or NaN (the term cap is lowered to keep the test short)
+        a, b, c = (cmath.rect(math.exp(r), phi) for r, phi in zip(sizes, phases))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_kernels, "MAX_SERIES_TERMS", 640)
+            try:
+                value = hyp2f1(a, b, c, z)
+            except DkpScatterError:
+                return
+        assert cmath.isfinite(value)
+
+    def test_large_ratio_at_small_z(self):
+        # R_k alone overflows here, the terms (ab z)^k / k! do not: the scale
+        # keeps the value, and mpmath agrees
+        with mp.workdps(40):
+            for a, b, z in ((1e6, 1e6, 1e-12), (1e6, -2e6, -1e-12), (3e5, 4e5, 1e-11)):
+                ref = complex(mp.hyp2f1(a, b, 1, z))
+                assert abs(hyp2f1(a, b, 1.0, z) - ref) <= 1e-12 * abs(ref)
+        # past the scale, R_k overflows: a RangeError, not a value
+        with pytest.raises(RangeError):
+            hyp2f1(1e12, 1e12, 1.0, 1e-24)
+
+    def test_overflowing_terms_raise_range_error(self):
+        # the transmitted wave's series at (a, b, m, E) = (44.72555160465732,
+        # 0.01018593560398276, 1, 45.08593793623468), |bx| <= 3: its terms
+        # overflow, and the sum stops at its first non-finite value
+        pot, particle = Potential(44.72555160465732, 0.01018593560398276), Particle(1.0)
+        xs = np.linspace(-3.0, 3.0, 60) / pot.b
+        with pytest.raises(RangeError, match="overflows"):
+            wave_profile(xs, "transmitted", pot, particle, 45.08593793623468)
