@@ -1,5 +1,18 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DkpScatterError",
+    "InvalidParameterError",
+    "PoleError",
+    "NonConvergenceError",
+    "DegenerateParametersError",
+    "IllConditionedError",
+    "BoundaryEnergyError",
+    "EvanescentIncidentError",
+    "ChannelClosedError",
+    "RangeError",
+]
+
 
 class DkpScatterError(Exception):
     """Base class for all errors raised by this package."""
@@ -41,6 +54,10 @@ class ChannelClosedError(DkpScatterError):
 
 
 class RangeError(DkpScatterError):
-    """An input is outside the numerically representable range: a position
-    with |2bx| above the exponent cap, or parameters whose kinematics
-    (nu, mu, lam) or whose R and T leave the floating-point range."""
+    """A value leaves the double range, or would be formed without its digits:
+    |2bx| above the exponent cap, a ratio of (a, b, m, E) or the denominator
+    of R and T out of the normal range, |nu| or |mu| above the waves' cap, a
+    wave, current, Gamma ratio, log_gamma or hyp2f1 value that is not finite,
+    a Gauss series that cannot be summed in doubles, or the sharp step's
+    momenta out of range or its R at its pole.  README "Errors" gives each
+    case."""

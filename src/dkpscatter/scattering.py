@@ -504,9 +504,12 @@ def step_rt(a: float, m: float, energy: float) -> StepRT:
 
     k_incident = sign(E+a) sqrt((E+a)^2 - m^2), likewise k_transmitted with
     E-a; R = ((k_i - k_t)/(k_i + k_t))^2, T = 1 - R, on the scale of max(|a|,
-    m, |E|).  Raises ChannelClosed when either channel is evanescent or exactly
-    at threshold, and RangeError where E +- a overflows or where k_i + k_t is
-    0, the pole of R (E = 0 in band III)."""
+    m, |E|).  The momenta are formed as the energy decision forms nu and mu
+    (see _kinematics), as (e - m)(e + m) with the rounding error of e = E +- a,
+    so they keep their digits near a threshold.  Raises ChannelClosed when
+    either channel is evanescent or exactly at threshold, and RangeError where
+    E +- a overflows or where k_i + k_t is 0, the pole of R (E = 0 in band
+    III)."""
     for name, val in (("a", a), ("m", m), ("energy", energy)):
         if not math.isfinite(val):
             raise InvalidParameterError(f"{name} must be finite")
@@ -517,13 +520,12 @@ def step_rt(a: float, m: float, energy: float) -> StepRT:
                          f"E={energy}, a={a}, m={m}")
     k = int(_exponent(a, m, energy))
     a_s, m_s, e_s = (math.ldexp(v, -k) for v in (a, m, energy))
-    disc_i = (e_s + a_s) ** 2 - m_s * m_s
-    disc_t = (e_s - a_s) ** 2 - m_s * m_s
-    if disc_i <= 0 or disc_t <= 0:
+    # b = 1/2 makes nu and mu the momenta themselves
+    with np.errstate(all="ignore"):
+        k_i, k_t = _kinematics(a_s, 0.5, m_s, e_s).real.tolist()
+    if k_i == 0.0 or k_t == 0.0:
         raise ChannelClosedError(
             f"sharp-step channels not both open at E={energy}")
-    k_i = math.copysign(math.sqrt(disc_i), e_s + a_s)
-    k_t = math.copysign(math.sqrt(disc_t), e_s - a_s)
     if k_i + k_t == 0.0:
         raise RangeError(f"sharp-step R at its pole k_i = -k_t at E={energy}, a={a}")
     refl = ((k_i - k_t) / (k_i + k_t)) ** 2

@@ -104,8 +104,10 @@ def _hyp2f1_batch(a: complex, b: complex, c: complex, z: np.ndarray
                 if ratio != 0.0:
                     terms.append((rank + 1, (p, c - q, 1.0 - q + p), far,
                                   1.0 / gap, ratio * np.exp(-p * np.log(gap))))
-    # the error of the value is cond |u|, summed over its terms
+    # the error of the value is cond |u|, summed over its terms; summed is
+    # False where a series itself did not stay finite
     spread = np.zeros(z.shape)
+    summed = np.ones(z.shape, dtype=bool)
     for lo in range(0, z.size, _kernels._BLOCK_WIDTH):
         hi = min(lo + _kernels._BLOCK_WIDTH, z.size)
         i, r, error = min(failures, key=lambda failure: failure[:2])
@@ -120,6 +122,7 @@ def _hyp2f1_batch(a: complex, b: complex, c: complex, z: np.ndarray
                 u = f if factor is None else factor[i0:i1] * f
                 values[at[i0:i1]] += u
                 spread[at[i0:i1]] += np.hypot(u.real, u.imag) * cond
+                summed[at[i0:i1]] &= np.isfinite(f)
         end = min(hi, i)
         value = values[lo:end]
         figures = np.where(value != 0, spread[lo:end]
@@ -129,7 +132,8 @@ def _hyp2f1_batch(a: complex, b: complex, c: complex, z: np.ndarray
         if bad.size:
             i = lo + int(bad[0])
             zi = float(z[i])
-            error = RangeError(f"hyp2f1({a}, {b}, {c}, {zi}) overflows") \
+            why = "" if summed[i] else ": its Gauss series cannot be summed in doubles"
+            error = RangeError(f"hyp2f1({a}, {b}, {c}, {zi}) overflows{why}") \
                 if not np.isfinite(values[i]) else IllConditionedError(
                     f"hyp2f1({a}, {b}, {c}, {zi}) loses digits to cancellation "
                     f"(figure {figures[bad[0]]:.1e} > {MAX_CANCELLATION:.0e})")
@@ -153,7 +157,8 @@ def hyp2f1(a: complex, b: complex, c: complex, z: float) -> complex:
 
     Raises IllConditionedError when cancellation, within a series or between
     the two terms, would leave fewer than about ten correct digits, and
-    RangeError when the value overflows.  The cancellation figure is
+    RangeError when the value overflows, its message saying so where a Gauss
+    series itself cannot be summed in doubles.  The cancellation figure is
     sum |u| cond / |sum u| over the terms u, cond being each series' own
     figure; above MAX_CANCELLATION it raises.
     """

@@ -153,10 +153,8 @@ def asymptotic_wavefunction(x: float, kind: Kind, pot: Potential,
     the incident/transmitted side.  Raises RangeError where it is not finite."""
     wave = _wave(kind, np.array([x], dtype=float), pot, particle, energy)
     b, m = pot.b, particle.m
-    try:
-        psi = wave.amp * cmath.exp(2j * b * wave.k * x)
-    except OverflowError:
-        psi = complex(math.inf)
+    with np.errstate(all="ignore"):
+        psi = complex(wave.amp * np.exp(2j * b * wave.k * x))
     rows = psi, wave.w * psi / m, 1j * (2j * b * wave.k * psi) / m
     if not all(map(cmath.isfinite, rows)):
         raise RangeError(f"{kind} wave not finite at x={x}")

@@ -787,11 +787,14 @@ class TestStepRT:
 
     @pytest.mark.parametrize("a,m,energy", [
         (1e-160, 1e-161, 5e-161), (1e-300, 1e-301, 5e-301), (5.0, 1.0, 1e200),
-        (1e300, 1e299, 5e299)])
+        (1e300, 1e299, 5e299), (1.0, 0.3, 1.3 + 1e-13), (5.0, 1.0, 6.0 + 1e-9),
+        (15.294991516776768, 1.0, -16.29499153081392)])
     def test_far_from_unit_scale(self, a, m, energy):
         # (E +- a)^2 underflows, or overflows, as the inputs are: R =
         # 3.89356603575848 at the first, second and fourth, and 2.5e-399,
-        # which rounds to 0, at the third
+        # which rounds to 0, at the third.  The last three sit just past a
+        # threshold, where (E +- a)^2 - m^2 cancels: k_t (k_i at the last) is
+        # 4.6e-5, 2.5e-10 and 4.5e-10 off when formed as a difference of squares
         res = step_rt(a, m, energy)
         with mp.workdps(50):
             k_i, k_t = (mp.sign(w) * mp.sqrt(w * w - mp.mpf(m) ** 2)

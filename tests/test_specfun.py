@@ -240,9 +240,20 @@ class TestHyp2f1:
 
     def test_inversion_factor_overflow_raises(self):
         # (-z)^-a = 3^800.5 overflows; F itself is about 4^800 (Pfaff), past
-        # the double range, and the scalar cmath.exp raised a raw OverflowError
-        with pytest.raises(RangeError):
+        # the double range, and the scalar cmath.exp raised a raw OverflowError.
+        # Both series are finite, so the message names no series
+        with pytest.raises(RangeError, match=r"overflows$"):
             hyp2f1(-800.5 + 3j, 1.0, 1.5, -3.0)
+
+    def test_unsummable_series_says_so(self):
+        # the transmitted wave of (a, b, m, E) = (5, 0.001, 1, 7) at x = 0:
+        # |F| = 0.354 (mpmath), and the Pfaff factor is finite, but the terms
+        # of the Gauss series leave the double range before they settle
+        pot, particle = Potential(5.0, 0.001), Particle(1.0)
+        hp = hypergeometric_parameters(kinematics(pot, particle, 7.0))
+        with pytest.raises(RangeError, match="overflows: its Gauss series cannot "
+                                             "be summed in doubles"):
+            hyp2f1(hp.a1, hp.b2, 1.0 + hp.a1 - hp.b1, -1.0)
 
     def test_inversion_ratio_overflow_raises(self):
         # Gamma(c) Gamma(b-a) / (Gamma(b) Gamma(c-a)) is about e^1879; the
