@@ -288,7 +288,7 @@ def _band(pot: Potential, particle: Particle, energy: float, *passing: int
           ) -> tuple[Region, KinematicParams, list[float]]:
     """Band, kinematics and the scaled (a, b, m, E) of the decision at one
     energy; raises the decision's error there unless its status is in passing."""
-    _, scaled, nu_mu, region, status = _decide(pot, particle, (energy,))
+    scaled, nu_mu, region, status = _decide(pot, particle, (energy,))
     if status[0] not in (_OK, *passing):
         raise _error(status[0], energy, pot, particle, *nu_mu[:, 0])
     return (_REGIONS[region[0]], KinematicParams(*nu_mu[:, 0].tolist(),
@@ -413,12 +413,18 @@ def _propagating_rt(nu_mu: np.ndarray, lam: complex, one_minus_lam: float, a, b,
     return refl, trans, den >= sys.float_info.min
 
 
-def _decide(pot: Potential, particle: Particle, energies) -> tuple[np.ndarray, ...]:
-    """scattering_table up to R and T: the energies, (a, b, m, E) on each
-    energy's scale, nu and mu, region codes, and every status but _RT_RANGE."""
+def _energies(energies) -> np.ndarray:
+    """The energies as a 1-d float array."""
     energy = np.asarray(energies, dtype=float)
     if energy.ndim != 1:
         raise InvalidParameterError(f"energies must be 1-d, got shape {energy.shape}")
+    return energy
+
+
+def _decide(pot: Potential, particle: Particle, energies) -> tuple[np.ndarray, ...]:
+    """scattering_table up to R and T: (a, b, m, E) on each energy's scale,
+    nu and mu, region codes, and every status but _RT_RANGE."""
+    energy = _energies(energies)
     with np.errstate(all="ignore"):
         k = -_exponent(pot.a, particle.m, energy)
         scaled = np.ldexp(np.array([[pot.a], [pot.b], [particle.m], [0.0]], float), k)
@@ -434,12 +440,16 @@ def _decide(pot: Potential, particle: Particle, energies) -> tuple[np.ndarray, .
         b = scaled[1]
         status[(b < sys.float_info.min) | (b > sys.float_info.max)] = _KINEMATICS_RANGE
         status[~np.isfinite(energy)] = _NON_FINITE
-    return energy, scaled, nu_mu, region, status
+    return scaled, nu_mu, region, status
+
+
+# energies a table decides, and whose R and T it forms, at a time
+_TABLE_BLOCK = 65_536
 
 
 def scattering_table(pot: Potential, particle: Particle,
                      energies: Sequence[float] | np.ndarray) -> ScatteringTable:
-    """R and T at every energy of a 1-d array in one numpy pass, after the
+    """R and T at every energy of a 1-d array in numpy passes, after the
     energy decision of every entry point (bands as in classify_region).
 
     An energy is not ok, by precedence, where it is not finite
@@ -447,16 +457,29 @@ def scattering_table(pot: Potential, particle: Particle,
     value (see _exponent), is not normal (RangeError); within BOUNDARY_EPS of a
     threshold or where neither channel propagates (BoundaryEnergyError, band
     BOUNDARY); where R and T are not representable (RangeError).
-    In bands II and IV, R and T are exactly 1 and 0."""
-    energy, scaled, nu_mu, region, status = _decide(pot, particle, energies)
+    In bands II and IV, R and T are exactly 1 and 0.  The energies are
+    decided _TABLE_BLOCK at a time, so the temporaries stay bounded however
+    long the array; every value is that of the table of its energy alone."""
+    energy = _energies(energies)
     lam, one_minus_lam = _interior_exponent(pot.a, pot.b)
-    with np.errstate(all="ignore"):
-        refl, trans, representable = _propagating_rt(nu_mu, lam, one_minus_lam, *scaled)
-        evanescent = (region == _II) | (region == _IV)
-        status[(status == _OK) & ~(evanescent | representable)] = _RT_RANGE
+    n = len(energy)
+    nu_mu = np.empty((2, n), complex)
+    region, status = np.empty(n, int), np.empty(n, int)
+    refl, trans = np.empty(n), np.empty(n)
+    for lo in range(0, n, _TABLE_BLOCK):
+        block = slice(lo, lo + _TABLE_BLOCK)
+        scaled, nu_mu[:, block], region[block], status[block] = _decide(
+            pot, particle, energy[block])
+        with np.errstate(all="ignore"):
+            r, t, representable = _propagating_rt(nu_mu[:, block], lam, one_minus_lam,
+                                                   *scaled)
+        evanescent = (region[block] == _II) | (region[block] == _IV)
+        stat = status[block]
+        stat[(stat == _OK) & ~(evanescent | representable)] = _RT_RANGE
+        refl[block] = np.where(evanescent, 1.0, r)
+        trans[block] = np.where(evanescent, 0.0, t)
     return ScatteringTable(pot, particle, energy, _REGIONS[region], nu_mu[0], nu_mu[1],
-                           lam, np.where(evanescent, 1.0, refl),
-                           np.where(evanescent, 0.0, trans), status == _OK, status, region)
+                           lam, refl, trans, status == _OK, status, region)
 
 
 def scattering_coefficients(pot: Potential, particle: Particle,

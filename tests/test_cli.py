@@ -97,6 +97,18 @@ class TestSweep:
             assert float(fields[2]) == res.T
             assert fields[4] == res.region.token
 
+    def test_benchmark_grid_one_decision(self, monkeypatch, tmp_path):
+        # the 2,401-energy grid of a spectrum sweep is decided in one block
+        calls = []
+        decide = scattering._decide
+        monkeypatch.setattr(scattering, "_decide",
+                            lambda *args: calls.append(args) or decide(*args))
+        out = tmp_path / "sweep.csv"
+        args = SWEEP_ARGS + ["--emin", "-6", "--emax", "6", "--steps", "2401",
+                             "--out", str(out)]
+        assert main(args) == 0
+        assert len(calls) == 1 and len(calls[0][2]) == 2401
+
     def test_blocked_band_rows_exact(self, capsys):
         args = SWEEP_ARGS + ["--emin", "4.2", "--emax", "5.8", "--steps", "3"]
         assert main(args) == 0

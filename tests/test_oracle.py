@@ -1,6 +1,7 @@
 """Direct-integration route: agreement with frozen fixtures and with the
 closed form, conservation properties, and failure modes."""
 
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from dkpscatter import (
     scattering_coefficients,
 )
 from dkpscatter import oracle
-from dkpscatter.oracle import _magnus_pass
+from dkpscatter.oracle import _magnus_pass, _passes
 
 # Same independent fixtures as the analytic tests (high-order integrator at
 # relative tolerance 1e-13, separate implementation).
@@ -30,6 +31,16 @@ ODE_RT_FIXTURES = [
     (3.5, 1.8401099461220165, -0.8401099461220254),
     (7.0, 0.03902243669932923, 0.960977563300833),
     (8.5, 0.001378855329519443, 0.998621144670541),
+]
+
+# R, T, steps and error_estimate at those energies as passes run one at a
+# time gave them, before the passes of up to 1,024 slices were built together
+PINNED_BITS = [
+    (1.5, "0x1.23c7b477635fcp+1", "-0x1.478f68eec6bdap+0", 4032, "0x1.ef00000000000p-38"),
+    (2.5, "0x1.188bbbb133027p+1", "-0x1.311777626606fp+0", 4032, "0x1.3944000000000p-37"),
+    (3.5, "0x1.d7117207a38a2p+0", "-0x1.ae22e40f4712fp-1", 4032, "0x1.09ca000000000p-38"),
+    (7.0, "0x1.3fabfb2de282ap-5", "0x1.ec05404d21d21p-1", 4032, "0x1.038b000000000p-40"),
+    (8.5, "0x1.69756a2f7a056p-10", "0x1.ff4b454ae8441p-1", 1984, "0x1.5338000000000p-39"),
 ]
 
 
@@ -184,6 +195,18 @@ class TestNumericRT:
         with pytest.raises(NonConvergenceError):
             numeric_rt(pot, particle, 7.0)
 
+    @pytest.mark.parametrize("energy", [1e5, 1e6])
+    def test_pass_that_cannot_be_compared(self, pot, particle, monkeypatch,
+                                          energy):
+        # the aliasing floor puts the first pass at 524,288 slices at E = 1e5
+        # and past the cap at 1e6: no second pass fits, so none runs
+        runs = _recorded_passes(monkeypatch)
+        built = _recorded_slices(monkeypatch)
+        with pytest.raises(NonConvergenceError,
+                           match="more slices per pass than 524,288 allow"):
+            numeric_rt(pot, particle, energy)
+        assert runs == [] and built == []
+
     @pytest.mark.parametrize("energy", [5.0, -5.0])
     def test_closed_channel_rejected(self, pot, particle, energy):
         with pytest.raises(ChannelClosedError):
@@ -192,6 +215,107 @@ class TestNumericRT:
     def test_boundary_rejected(self, pot, particle):
         with pytest.raises(BoundaryEnergyError):
             numeric_rt(pot, particle, 6.0)
+
+
+def _recorded_passes(monkeypatch):
+    """(arguments, slices, state) of every pass numeric_rt compares."""
+    runs = []
+
+    def recorded(*args):
+        for n, y in _passes(*args):
+            runs.append((args, n, y))
+            yield n, y
+
+    monkeypatch.setattr(oracle, "_passes", recorded)
+    return runs
+
+
+def _recorded_slices(monkeypatch):
+    """The slice count of every call that builds slices."""
+    built = []
+    slices = oracle._slices
+
+    def recorded(*args):
+        built.append(len(args[-1]))
+        return slices(*args)
+
+    monkeypatch.setattr(oracle, "_slices", recorded)
+    return built
+
+
+def _alone(a, b, m, energy, x_right, n, y):
+    """The state of the pass of n slices run alone."""
+    return _magnus_pass(a, b, m, energy, x_right, -2.0 * x_right / n, n, y)
+
+
+class TestGroupedPasses:
+    """The passes of up to _BATCH slices are built in one array, and each has
+    the bits of the same pass run alone."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(band=st.sampled_from([Region.I, Region.III, Region.V]),
+           a=st.floats(1.5, 20.0), log_excess=st.floats(-3.0, 1.3),
+           frac=st.floats(-0.99, 0.99), ratio=st.floats(1.0, 1000.0),
+           first=st.sampled_from([64, 128, 256, 512, 1024]))
+    def test_each_pass_as_alone(self, band, a, log_excess, frac, ratio, first):
+        # the bands and widths of test_agrees_with_closed_form, m = 1, from
+        # any first pass; coarse passes may overflow, and must do so alike
+        if band is Region.III:
+            energy = frac * (a - 1.0)
+        else:
+            energy = a + 1.0 + 10.0 ** log_excess
+            if band is Region.V:
+                energy = -energy
+        b = (abs(energy) + a) / ratio
+        x_right = 14.5 / b
+        y = np.array([1.0, 0.75j], dtype=np.clongdouble)
+        count = (oracle._BATCH // first).bit_length()
+        with np.errstate(all="ignore"):
+            grouped = list(itertools.islice(
+                _passes(a, b, 1.0, energy, x_right, first, y), count))
+            assert [n for n, _ in grouped] == [first << i for i in range(count)]
+            for n, state in grouped:
+                np.testing.assert_array_equal(
+                    state, _alone(a, b, 1.0, energy, x_right, n, y))
+
+    @pytest.mark.parametrize("energy,r_bits,t_bits,steps,err_bits", PINNED_BITS)
+    def test_fixture_bits(self, pot, particle, energy, r_bits, t_bits, steps,
+                          err_bits):
+        res = numeric_rt(pot, particle, energy)
+        assert (res.R.hex(), res.T.hex(), res.steps, res.error_estimate.hex()) \
+            == (r_bits, t_bits, steps, err_bits)
+
+    @pytest.mark.parametrize("a,b,energy,first", [
+        (5.0, 3.0, 7.0, 64),      # the whole group
+        (5.0, 3.0, 50.0, 256),    # the aliasing floor starts the group
+        (5.0, 0.5, 30.0, 1024),   # a group of one pass at the floor
+    ])
+    def test_compared_passes(self, monkeypatch, a, b, energy, first):
+        # numeric_rt compares the passes in order from the first, each as
+        # alone, and steps counts only those it compared
+        runs = _recorded_passes(monkeypatch)
+        res = numeric_rt(Potential(a, b), Particle(1.0), energy)
+        sizes = [n for _, n, _ in runs]
+        assert sizes == [first << i for i in range(len(sizes))]
+        assert res.steps == sum(sizes)
+        for args, n, state in runs:
+            assert args[5] == first
+            np.testing.assert_array_equal(
+                state, _alone(*args[:5], n, args[6]))
+
+    def test_cap_below_group(self, pot, particle, monkeypatch):
+        # the cap is read at call time: with it at 256, the group ends there,
+        # and no slice of a longer pass is built
+        monkeypatch.setattr(oracle, "_MAX_SLICES", 256)
+        runs = _recorded_passes(monkeypatch)
+        built = _recorded_slices(monkeypatch)
+        with pytest.raises(NonConvergenceError, match="did not converge"):
+            numeric_rt(pot, particle, 7.0)
+        assert [n for _, n, _ in runs] == [64, 128, 256]
+        assert built == [64 + 128 + 256]
+        for args, n, state in runs:
+            np.testing.assert_array_equal(
+                state, _alone(*args[:5], n, args[6]))
 
 
 # slices of one fixed-count pass across the full window

@@ -618,6 +618,32 @@ class TestArrayPath:
                     first, second = (getattr(table, field)[i] for table in tables)
                     assert first.tobytes() == second.tobytes()
 
+    def test_blocks(self, pot, particle, monkeypatch):
+        # 2^16 + 3 energies are decided in two blocks; at the edges of each,
+        # every value has the bits of the energy alone
+        decided = []
+        decide = scattering._decide
+        monkeypatch.setattr(scattering, "_decide",
+                            lambda *args: decided.append(args) or decide(*args))
+        energies = np.linspace(-12.0, 12.0, 2**16 + 3)
+        table = scattering_table(pot, particle, energies)
+        assert len(decided) == 2 and table.R.shape == energies.shape
+        edge = scattering._TABLE_BLOCK
+        for i in (0, 1, edge - 2, edge - 1, edge, edge + 1, len(energies) - 1):
+            energy = energies[i].item()
+            res = scattering_coefficients(pot, particle, energy)
+            k = kinematics(pot, particle, energy)
+            assert table.ok[i] and table.region[i] is res.region
+            assert _bits(table.R[i]) == _bits(res.R)
+            assert _bits(table.T[i]) == _bits(res.T)
+            assert np.array((table.nu[i], table.mu[i]), complex).tobytes() \
+                == np.array((k.nu, k.mu), complex).tobytes()
+        # the guarded thresholds and their typed errors survive the blocks
+        for i in np.flatnonzero(~table.ok).tolist():
+            with pytest.raises(BoundaryEnergyError):
+                scattering_coefficients(pot, particle, energies[i].item())
+            assert isinstance(table.error(i), BoundaryEnergyError)
+
     def test_integer_parameters(self):
         # Python ints for a, b, m and E give the bits of the same floats: numpy
         # scales a Python int by a power of two in float16 unless told otherwise
